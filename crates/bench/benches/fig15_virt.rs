@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_bench::{bench_scale, print_geomeans};
 use dmt_sim::experiments::fig15;
 use dmt_sim::runner::Runner;
-use dmt_sim::virt_rig::VirtRig;
-use dmt_sim::rig::{Design, Rig};
+use dmt_sim::rig::{Design, Rig, VirtRig};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_workloads::bench7::Redis;
 use dmt_workloads::gen::Workload;

@@ -6,10 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_bench::bench_scale;
 use dmt_sim::experiments::fig4;
 use dmt_sim::runner::Runner;
-use dmt_sim::native_rig::NativeRig;
-use dmt_sim::nested_rig::NestedRig;
-use dmt_sim::virt_rig::VirtRig;
-use dmt_sim::rig::{Design, Rig};
+use dmt_sim::rig::{Design, NativeRig, NestedRig, Rig, VirtRig};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_workloads::bench7::Gups;
 use dmt_workloads::gen::Workload;

@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_sim::runner::Runner;
-use dmt_sim::rig::{Design, Env, Rig};
-use dmt_sim::virt_rig::VirtRig;
+use dmt_sim::rig::{Design, Env, Rig, VirtRig};
 use dmt_sim::experiments::table6;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_workloads::bench7::Gups;

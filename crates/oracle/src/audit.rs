@@ -8,18 +8,19 @@
 //! host-physical contiguity of every granted TEA.
 
 use dmt_mem::{Pfn, PhysAddr};
-use dmt_sim::native_rig::NativeRig;
+use dmt_sim::rig::NativeRig;
 use dmt_virt::machine::VirtMachine;
 use dmt_virt::nested::NestedMachine;
 
 /// Audit a native rig: buddy allocator + the process's VMA tree, reverse
 /// map, TEA map and single-PTE-copy placement.
 pub fn audit_native(rig: &NativeRig) -> Vec<String> {
+    let m = rig.machine();
     let mut out = Vec::new();
-    if let Err(e) = rig.phys().buddy().audit() {
+    if let Err(e) = m.pm.buddy().audit() {
         out.push(format!("buddy: {e}"));
     }
-    out.extend(rig.process().audit(rig.phys()));
+    out.extend(m.proc_.audit(&m.pm));
     out
 }
 
@@ -126,9 +127,7 @@ mod tests {
     use super::*;
     use dmt_cache::hierarchy::MemoryHierarchy;
     use dmt_mem::{PageSize, VirtAddr};
-    use dmt_sim::nested_rig::NestedRig;
-    use dmt_sim::rig::Setup;
-    use dmt_sim::virt_rig::VirtRig;
+    use dmt_sim::rig::{NestedRig, Setup, VirtRig};
     use dmt_sim::{Design, Rig};
     use dmt_workloads::gen::{Access, Region};
 
@@ -149,7 +148,7 @@ mod tests {
     #[test]
     fn native_rig_passes_audit() {
         let (setup, _) = tiny_setup(32);
-        let rig = dmt_sim::native_rig::NativeRig::with_setup(Design::Dmt, false, &setup).unwrap();
+        let rig = dmt_sim::rig::NativeRig::with_setup(Design::Dmt, false, &setup).unwrap();
         assert_eq!(audit_native(&rig), Vec::<String>::new());
     }
 

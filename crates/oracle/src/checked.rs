@@ -380,8 +380,7 @@ impl<R: Rig> Rig for BitFlip<R> {
 mod tests {
     use super::*;
     use dmt_mem::PageSize;
-    use dmt_sim::native_rig::NativeRig;
-    use dmt_sim::rig::Setup;
+    use dmt_sim::rig::{NativeRig, Setup};
     use dmt_workloads::gen::{Access, Region};
 
     /// A tiny single-region setup plus the page-stride VAs that touch it.

@@ -2,8 +2,9 @@
 //! over the unchanged radix walk, with the timeliness-limited overlap
 //! applied to the leaf fetch.
 
-use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
+use super::{NativeBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::asap::{asap_adjusted_cycles, AsapPrefetcher, AsapStats};
@@ -83,7 +84,7 @@ pub struct NativeAsap {
     stats: AsapStats,
 }
 
-impl NativeTranslator for NativeAsap {
+impl Translator<NativeMachine> for NativeAsap {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -136,7 +137,7 @@ pub struct VirtAsap {
     stats: AsapStats,
 }
 
-impl VirtTranslator for VirtAsap {
+impl Translator<VirtMachine> for VirtAsap {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

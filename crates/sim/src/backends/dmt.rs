@@ -12,8 +12,9 @@
 //! outcomes and counters stay bit-identical to the scalar path
 //! (DESIGN.md §13).
 
-use super::{NativeBackend, NativeMachine, NativeTranslator, VirtBackend, VirtTranslator};
+use super::{NativeBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -42,25 +43,11 @@ pub(crate) const REGISTRATION: Registration = Registration {
     }),
 };
 
-/// The stock native DMT backend (PWC-assisted fallback walks).
 fn build_native(
     _m: &mut NativeMachine,
     _setup: &Setup,
 ) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::Dmt(NativeDmt::new(true)))
-}
-
-/// The DESIGN.md §11 worked example: a DMT variant whose fallback walks
-/// bypass the PWC, isolating how much of DMT's win survives without
-/// walk-cache assistance on the uncovered tail. Plugged in through
-/// [`NativeRig::with_translator`](crate::native_rig::NativeRig::with_translator)
-/// instead of a registry row, since it is an ablation of [`Design::Dmt`]
-/// rather than a new design.
-pub fn build_native_no_fallback_pwc(
-    _m: &mut NativeMachine,
-    _setup: &Setup,
-) -> Result<Box<dyn NativeTranslator>, SimError> {
-    Ok(Box::new(NativeDmt::new(false)))
+    Ok(NativeBackend::Dmt(NativeDmt::default()))
 }
 
 fn build_virt(
@@ -83,27 +70,16 @@ fn coverage(fetch_hits: u64, fallbacks: u64) -> f64 {
     }
 }
 
-/// Register-file fetch with hardware-walk fallback.
+/// Register-file fetch with PWC-assisted hardware-walk fallback.
+#[derive(Default)]
 pub struct NativeDmt {
     fetch_hits: u64,
     fallbacks: u64,
-    /// Whether fallback walks get the PWC (false only in the
-    /// no-fallback-PWC ablation).
-    fallback_pwc: bool,
     /// Reusable per-run scratch for the batched path's resolve phase.
     resolved: Vec<fetcher::Resolve>,
 }
 
 impl NativeDmt {
-    pub(crate) fn new(fallback_pwc: bool) -> Self {
-        NativeDmt {
-            fetch_hits: 0,
-            fallbacks: 0,
-            fallback_pwc,
-            resolved: Vec::new(),
-        }
-    }
-
     /// The fallback radix walk, shared by the scalar and batched paths.
     fn fallback_walk(
         &mut self,
@@ -112,13 +88,15 @@ impl NativeDmt {
         hier: &mut MemoryHierarchy,
     ) -> Translation {
         self.fallbacks += 1;
-        let pwc = if self.fallback_pwc {
-            Some(&mut m.pwc)
-        } else {
-            None
-        };
-        let out = walk_dimension(m.proc_.page_table(), &mut m.pm, va, WalkDim::Native, hier, pwc)
-            .expect("populated");
+        let out = walk_dimension(
+            m.proc_.page_table(),
+            &mut m.pm,
+            va,
+            WalkDim::Native,
+            hier,
+            Some(&mut m.pwc),
+        )
+        .expect("populated");
         Translation {
             pa: out.pa,
             size: out.size,
@@ -130,7 +108,7 @@ impl NativeDmt {
     }
 }
 
-impl NativeTranslator for NativeDmt {
+impl Translator<NativeMachine> for NativeDmt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -283,7 +261,7 @@ impl VirtDmt {
     }
 }
 
-impl VirtTranslator for VirtDmt {
+impl Translator<VirtMachine> for VirtDmt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -2,11 +2,9 @@
 //! place of the radix walk. Virtualized, guest and host each get an
 //! ECPT; guest tables come from the boot-time contiguous arena.
 
-use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
-};
+use super::{backed_chunks, collect_guest_mappings, NativeBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::ecpt::{Ecpt, NestedEcpt};
@@ -122,7 +120,7 @@ pub struct NativeEcpt {
     ecpt: Ecpt,
 }
 
-impl NativeTranslator for NativeEcpt {
+impl Translator<NativeMachine> for NativeEcpt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -151,7 +149,7 @@ pub struct VirtEcpt {
     necpt: NestedEcpt,
 }
 
-impl VirtTranslator for VirtEcpt {
+impl Translator<VirtMachine> for VirtEcpt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -3,11 +3,9 @@
 //! grid to ~8 virtualized. The guest tables live in a contiguous arena
 //! carved at boot (the registry's `arena_frames` hook).
 
-use super::{
-    backed_chunks, collect_guest_mappings, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
-};
+use super::{backed_chunks, collect_guest_mappings, NativeBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::fpt::{nested_translate as fpt_nested, FlatPageTable};
@@ -103,7 +101,7 @@ pub struct NativeFpt {
     fpt: FlatPageTable,
 }
 
-impl NativeTranslator for NativeFpt {
+impl Translator<NativeMachine> for NativeFpt {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -133,7 +131,7 @@ pub struct VirtFpt {
     hfpt: FlatPageTable,
 }
 
-impl VirtTranslator for VirtFpt {
+impl Translator<VirtMachine> for VirtFpt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,

@@ -5,8 +5,9 @@
 //! the virtualized and nested modes add the hypercall-based exit
 //! accounting.
 
-use super::{NativeBackend, NativeMachine, NestedBackend, NestedTranslator, VirtBackend, VirtTranslator};
+use super::{NativeBackend, NestedBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, NestedSpec, Registration, TierSpec, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -44,7 +45,7 @@ fn build_native(
     _m: &mut NativeMachine,
     _setup: &Setup,
 ) -> Result<NativeBackend, SimError> {
-    Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::new(true)))
+    Ok(NativeBackend::PvDmt(super::dmt::NativeDmt::default()))
 }
 
 fn build_virt(
@@ -83,7 +84,7 @@ pub struct VirtPvDmt {
     fallbacks: u64,
 }
 
-impl VirtTranslator for VirtPvDmt {
+impl Translator<VirtMachine> for VirtPvDmt {
     fn translate(
         &mut self,
         m: &mut VirtMachine,
@@ -133,7 +134,7 @@ pub struct NestedPvDmt {
     fallbacks: u64,
 }
 
-impl NestedTranslator for NestedPvDmt {
+impl Translator<NestedMachine> for NestedPvDmt {
     fn translate(
         &mut self,
         m: &mut NestedMachine,

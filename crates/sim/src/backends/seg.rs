@@ -16,12 +16,10 @@
 //! from the VA, so the batched engine keeps misses in single-element
 //! runs.
 
-use super::{
-    merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator, VirtBackend,
-    VirtTranslator,
-};
+use super::{merge_contiguous_runs, ContigRun, NativeBackend, Translator, VirtBackend};
 use crate::backends::vbi::{build_virt_tables, host_resolve, BlockTable};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{Design, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -128,7 +126,7 @@ pub struct NativeSeg {
     seg: SegTable,
 }
 
-impl NativeTranslator for NativeSeg {
+impl Translator<NativeMachine> for NativeSeg {
     fn translate(
         &mut self,
         _m: &mut NativeMachine,
@@ -161,7 +159,7 @@ pub struct VirtSeg {
     host: BlockTable,
 }
 
-impl VirtTranslator for VirtSeg {
+impl Translator<VirtMachine> for VirtSeg {
     fn translate(
         &mut self,
         _m: &mut VirtMachine,

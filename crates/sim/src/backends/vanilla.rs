@@ -8,10 +8,8 @@
 //! operation and `hier.access` charge is still issued — the observable
 //! op sequence is bit-identical to the scalar path (DESIGN.md §13).
 
-use super::{
-    NativeBackend, NativeMachine, NativeTranslator, NestedBackend, NestedTranslator, VirtBackend,
-    VirtTranslator,
-};
+use super::{NativeBackend, NestedBackend, Translator, VirtBackend};
+use crate::machine::NativeMachine;
 use crate::registry::{NativeSpec, NestedSpec, Registration, VirtSpec};
 use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -71,7 +69,7 @@ pub struct NativeVanilla {
     memo: PteMemo,
 }
 
-impl NativeTranslator for NativeVanilla {
+impl Translator<NativeMachine> for NativeVanilla {
     fn translate(
         &mut self,
         m: &mut NativeMachine,
@@ -139,7 +137,7 @@ impl NativeTranslator for NativeVanilla {
 #[derive(Default)]
 pub struct VirtVanilla;
 
-impl VirtTranslator for VirtVanilla {
+impl Translator<VirtMachine> for VirtVanilla {
     fn translate(
         &mut self,
         m: &mut VirtMachine,
@@ -182,7 +180,7 @@ impl VirtTranslator for VirtVanilla {
 /// The cascaded L2PT × sPT baseline walk.
 pub struct NestedVanilla;
 
-impl NestedTranslator for NestedVanilla {
+impl Translator<NestedMachine> for NestedVanilla {
     fn translate(
         &mut self,
         m: &mut NestedMachine,

@@ -16,11 +16,9 @@
 //! misses into single-element runs, which keeps the batch path
 //! trivially bit-identical to scalar.
 
-use super::{
-    find_run, merge_contiguous_runs, ContigRun, NativeBackend, NativeMachine, NativeTranslator,
-    VirtBackend, VirtTranslator,
-};
+use super::{find_run, merge_contiguous_runs, ContigRun, NativeBackend, Translator, VirtBackend};
 use crate::error::SimError;
+use crate::machine::NativeMachine;
 use crate::registry::{Arena, NativeSpec, Registration, VirtSpec};
 use crate::rig::{pte_delta, Design, OutcomeRows, Setup, Translation};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -135,7 +133,7 @@ pub struct NativeVbi {
     table: BlockTable,
 }
 
-impl NativeTranslator for NativeVbi {
+impl Translator<NativeMachine> for NativeVbi {
     fn translate(
         &mut self,
         _m: &mut NativeMachine,
@@ -184,7 +182,7 @@ pub struct VirtVbi {
     host: BlockTable,
 }
 
-impl VirtTranslator for VirtVbi {
+impl Translator<VirtMachine> for VirtVbi {
     fn translate(
         &mut self,
         _m: &mut VirtMachine,

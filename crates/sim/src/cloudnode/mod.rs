@@ -29,9 +29,10 @@
 //!   an IPI on all *other* tenants and is counted
 //!   ([`NodeStats::cross_tenant_shootdowns`]).
 //!
-//! The per-access pipeline is [`crate::engine::step_access`] — the
-//! same code the single-rig engine runs — so a one-tenant node is
-//! bit-identical to [`Runner::run_one`] by construction.
+//! Quanta run through the same replay driver as the single-rig engine
+//! (`engine::Driver`, blocks cut on the absolute trace grid), so a
+//! one-tenant node is bit-identical to [`Runner::run_one`] by
+//! construction.
 //!
 //! [`Rig::swap_phys`]: crate::rig::Rig::swap_phys
 //! [`Rig::swap_pwc`]: crate::rig::Rig::swap_pwc
@@ -45,9 +46,8 @@ mod tenant;
 pub use config::{ChurnConfig, NodeConfig, Tagging, TenantSpec};
 pub use stats::{NodeStats, TenantStats};
 
-use crate::engine::{run_block, step_access, BLOCK_SIZE};
+use crate::engine::Driver;
 use crate::error::SimError;
-use crate::rig::Rig;
 use crate::runner::Runner;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::pwc::PageWalkCache;
@@ -108,9 +108,8 @@ fn run_node_probed<P: Probe>(
     cfg: &NodeConfig,
     probe: &mut P,
 ) -> Result<NodeStats, SimError> {
-    let wrapper = runner.wrapper;
     let tagged = cfg.tagging == Tagging::Tagged;
-    let audit_each_kill = wrapper.is_some();
+    let audit_each_kill = runner.wrapper.is_some();
 
     // Materialize every tenant's trace first: the shared pool is sized
     // as the sum of what each standalone rig would provision, plus one
@@ -133,7 +132,7 @@ fn run_node_probed<P: Probe>(
     for (i, seed) in seeds.into_iter().enumerate() {
         let asid = if tagged { i as u16 } else { 0 };
         let pm = std::mem::replace(&mut shared, placeholder());
-        let mut t = Tenant::build(seed, pm, cfg.design, cfg.thp, wrapper, asid)?;
+        let mut t = Tenant::build(seed, pm, runner, cfg.design, cfg.thp, asid)?;
         t.rig.swap_phys(&mut shared);
         tenants.push(t);
     }
@@ -148,13 +147,10 @@ fn run_node_probed<P: Probe>(
     let mut picker = VictimPicker::new(cfg.seed);
     let mut remaining: Vec<usize> = tenants.iter().map(|t| t.trace.len()).collect();
 
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
+    // One driver for the whole node: its sampling clock counts
+    // measured accesses node-wide.
+    let mut driver = Driver::new(runner.engine(), probe, 0);
     let warmup = cfg.scale.warmup;
-    let mut node_accesses: u64 = 0;
     let mut context_switches: u64 = 0;
     let mut tagged_flushes: u64 = 0;
     let mut cross_tenant_shootdowns: u64 = 0;
@@ -208,65 +204,22 @@ fn run_node_probed<P: Probe>(
             active = Some(i);
         }
 
-        // Run the quantum through the shared engine: the scalar step or
-        // the batched block path (chunks aligned to absolute trace
-        // position, so a one-tenant node cuts its quanta at the same
-        // block boundaries as the single-rig engine — bit-identity by
-        // construction either way).
+        // Run the quantum through the shared driver (blocks aligned to
+        // absolute trace position, so a one-tenant node cuts its quanta
+        // at the same block boundaries as the single-rig engine).
         let t = &mut tenants[i];
-        if runner.scalar {
-            for _ in 0..len {
-                let a = t.trace[t.pos];
-                let measured = t.pos >= warmup;
-                t.pos += 1;
-                step_access(t.rig.as_mut(), &a, measured, &mut tlb, &mut hier, &mut t.stats, probe);
-                if measured {
-                    node_accesses += 1;
-                    if P::ACTIVE && sample_every > 0 && node_accesses.is_multiple_of(sample_every) {
-                        if let Some((frag, rss)) = t.rig.frag_sample() {
-                            probe.sample(node_accesses, frag, rss);
-                        }
-                    }
-                }
-            }
-        } else {
-            // The node-wide access counter only feeds the sampling hook,
-            // so the hook (and the counter) is skipped entirely when
-            // nothing samples — run_block's column-wise reconcile fast
-            // path then engages.
-            let sampling = P::ACTIVE && sample_every > 0;
-            let mut on_measured = |p: &mut P, r: &dyn Rig, _accesses: u64| {
-                node_accesses += 1;
-                if node_accesses.is_multiple_of(sample_every) {
-                    if let Some((frag, rss)) = r.frag_sample() {
-                        p.sample(node_accesses, frag, rss);
-                    }
-                }
-            };
-            let mut done = 0;
-            while done < len {
-                let chunk = (len - done).min(BLOCK_SIZE - (t.pos % BLOCK_SIZE));
-                let start = t.pos;
-                t.pos += chunk;
-                let cb: Option<crate::engine::OnMeasured<'_, P>> = if sampling {
-                    Some(&mut on_measured)
-                } else {
-                    None
-                };
-                run_block(
-                    t.rig.as_mut(),
-                    &t.trace[start..start + chunk],
-                    warmup.saturating_sub(start),
-                    &mut tlb,
-                    &mut hier,
-                    &mut t.stats,
-                    probe,
-                    &mut t.block,
-                    cb,
-                );
-                done += chunk;
-            }
-        }
+        let start = t.pos;
+        t.pos += len;
+        driver.run(
+            t.rig.as_mut(),
+            &t.trace[start..t.pos],
+            start,
+            warmup,
+            &mut tlb,
+            &mut hier,
+            &mut t.stats,
+            probe,
+        );
         remaining[i] = t.trace.len() - t.pos;
         turns += 1;
 
@@ -325,7 +278,7 @@ fn run_node_probed<P: Probe>(
                     0
                 };
                 let pm = std::mem::replace(&mut shared, placeholder());
-                t.rebuild(pm, cfg.design, cfg.thp, wrapper, asid)?;
+                t.rebuild(pm, runner, cfg.design, cfg.thp, asid)?;
                 t.rig.swap_phys(&mut shared);
                 remaining[v] = t.trace.len();
                 kills_done += 1;

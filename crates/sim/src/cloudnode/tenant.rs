@@ -3,13 +3,11 @@
 //! thread the node's shared physical memory through construction.
 
 use crate::cloudnode::config::TenantSpec;
-use crate::engine::{BlockState, RunStats};
+use crate::engine::RunStats;
 use crate::error::SimError;
-use crate::experiments::{scaled_benchmark, RigWrapper, Scale};
-use crate::native_rig::NativeRig;
-use crate::nested_rig::NestedRig;
-use crate::rig::{Design, Env, Rig, Setup};
-use crate::virt_rig::VirtRig;
+use crate::experiments::{scaled_benchmark, Scale};
+use crate::rig::{Design, EnvRigOps, Rig, Setup};
+use crate::runner::Runner;
 use dmt_mem::PhysMemory;
 use dmt_workloads::gen::Access;
 
@@ -52,38 +50,8 @@ impl TenantSeed {
     /// Host (L0) bytes a standalone rig would provision for this
     /// tenant — the node's shared memory is sized as the sum of these.
     pub(crate) fn host_bytes(&self, thp: bool) -> u64 {
-        host_bytes(self.spec.env, thp, &self.setup)
+        (EnvRigOps::of_env(self.spec.env).host_bytes)(thp, &self.setup)
     }
-}
-
-/// Per-environment host sizing, matching the standalone constructors.
-pub(crate) fn host_bytes(env: Env, thp: bool, setup: &Setup) -> u64 {
-    match env {
-        Env::Native => NativeRig::host_bytes(thp, setup),
-        Env::Virt => VirtRig::host_bytes(thp, setup),
-        Env::Nested => NestedRig::host_bytes(thp, setup),
-    }
-}
-
-/// Build a rig of the tenant's environment inside `pm`, applying the
-/// runner's wrapper (the oracle's entry point) if one is configured.
-pub(crate) fn build_rig_in(
-    pm: PhysMemory,
-    env: Env,
-    design: Design,
-    thp: bool,
-    setup: &Setup,
-    wrapper: Option<RigWrapper>,
-) -> Result<Box<dyn Rig>, SimError> {
-    let rig: Box<dyn Rig> = match env {
-        Env::Native => Box::new(NativeRig::with_setup_in(pm, design, thp, setup)?),
-        Env::Virt => Box::new(VirtRig::with_setup_in(pm, design, thp, setup)?),
-        Env::Nested => Box::new(NestedRig::with_setup_in(pm, design, thp, setup)?),
-    };
-    Ok(match wrapper {
-        Some(w) => w(rig),
-        None => rig,
-    })
 }
 
 /// One live tenant: the seed, the current incarnation's rig, and the
@@ -105,22 +73,21 @@ pub(crate) struct Tenant {
     pub coverage: f64,
     /// Whether the node's shared PWC is currently swapped into the rig.
     pub pwc_lent: bool,
-    /// Per-tenant scratch for the batched engine path.
-    pub block: BlockState,
 }
 
 impl Tenant {
     /// First incarnation: build the rig inside `pm` (the node threads
-    /// the shared memory through and reclaims it via `swap_phys`).
+    /// the shared memory through and reclaims it via `swap_phys`),
+    /// wrapped by the runner's rig wrapper (the oracle's entry point).
     pub(crate) fn build(
         seed: TenantSeed,
         pm: PhysMemory,
+        runner: &Runner,
         design: Design,
         thp: bool,
-        wrapper: Option<RigWrapper>,
         asid: u16,
     ) -> Result<Tenant, SimError> {
-        let rig = build_rig_in(pm, seed.spec.env, design, thp, &seed.setup, wrapper)?;
+        let rig = runner.build_rig_in(pm, seed.spec.env, design, thp, &seed.setup)?;
         Ok(Tenant {
             spec: seed.spec,
             workload: seed.workload,
@@ -133,7 +100,6 @@ impl Tenant {
             incarnations: 1,
             coverage: 1.0,
             pwc_lent: false,
-            block: BlockState::default(),
         })
     }
 
@@ -143,12 +109,12 @@ impl Tenant {
     pub(crate) fn rebuild(
         &mut self,
         pm: PhysMemory,
+        runner: &Runner,
         design: Design,
         thp: bool,
-        wrapper: Option<RigWrapper>,
         asid: u16,
     ) -> Result<(), SimError> {
-        self.rig = build_rig_in(pm, self.spec.env, design, thp, &self.setup, wrapper)?;
+        self.rig = runner.build_rig_in(pm, self.spec.env, design, thp, &self.setup)?;
         self.asid = asid;
         self.pos = 0;
         self.incarnations += 1;

@@ -16,10 +16,14 @@
 //! are identical either way, which `tests/determinism.rs` pins by
 //! comparing `RunStats` bit-for-bit.
 //!
-//! Both engines are driven through [`crate::runner::Runner`]; the
-//! entry points here are crate-internal.
+//! Every replay — the runner's, each shard's, the cloud node's quanta —
+//! goes through one `Driver`, which owns the choice between the scalar
+//! reference (`step_access`) and the batched block path (`run_block`),
+//! block chunking, and periodic sampling. The entry points here are
+//! crate-internal.
 
 use crate::rig::{OutcomeBlock, Rig};
+use crate::runner::Engine;
 use dmt_cache::hierarchy::{HitLevel, MemoryHierarchy};
 use dmt_cache::tlb::{Tlb, TlbHit};
 use dmt_mem::{FastSet, TransUnit, VirtAddr};
@@ -95,7 +99,7 @@ fn mem_level(l: HitLevel) -> MemLevel {
 /// while amortizing the dispatch overhead; correctness never depends on
 /// the exact value, which `tests/batch_equivalence.rs` pins by sweeping
 /// traces whose length is not a multiple of it.
-pub(crate) const BLOCK_SIZE: usize = 256;
+const BLOCK_SIZE: usize = 256;
 
 /// What the block scan recorded for one element, in trace order.
 ///
@@ -113,11 +117,11 @@ enum Rec {
     Miss,
 }
 
-/// Reusable per-block scratch for [`run_block`], held by the caller
-/// (engine loop or a cloud-node tenant) so the allocations amortize
-/// across blocks. Holds no cross-block simulation state.
+/// Reusable per-block scratch for [`run_block`], held by the
+/// [`Driver`] so the allocations amortize across blocks. Holds no
+/// cross-block simulation state.
 #[derive(Default)]
-pub(crate) struct BlockState {
+struct BlockState {
     outcomes: OutcomeBlock,
     recs: Vec<Rec>,
     pending_regions: FastSet<u64>,
@@ -135,9 +139,30 @@ pub(crate) struct BlockState {
     miss_idx: Vec<u32>,
 }
 
-/// The sampling callback [`run_block`] fires after a block's measured
-/// accesses are reconciled — the shard/cloudnode periodic-series hook.
-pub(crate) type OnMeasured<'a, P> = &'a mut dyn FnMut(&mut P, &dyn Rig, u64);
+/// The periodic fragmentation/RSS sampler: a clock of measured accesses
+/// that fires [`Probe::sample`] every `every` ticks. The clock is seeded
+/// by the caller — 0 for a single replay, the shard's measured offset
+/// for a shard, and it is shared across tenants on a cloud node — so a
+/// sample's ordinal is global however the trace is cut.
+struct Sampler {
+    every: u64,
+    clock: u64,
+}
+
+impl Sampler {
+    /// Count one measured access and sample `rig` on the interval.
+    #[inline]
+    fn tick<P: Probe>(&mut self, probe: &mut P, rig: &dyn Rig) {
+        if P::ACTIVE && self.every > 0 {
+            self.clock += 1;
+            if self.clock.is_multiple_of(self.every) {
+                if let Some((frag, rss)) = rig.frag_sample() {
+                    probe.sample(self.clock, frag, rss);
+                }
+            }
+        }
+    }
+}
 
 /// Flush a pending miss run: one `translate_batch` over the run's row
 /// window, then the per-element TLB replay (miss charge + fill) in
@@ -218,18 +243,18 @@ fn flush_run(
 ///   `translate_batch`, interleaved per element with the PTE fetches;
 /// - `measured`-gated accounting (RunStats + probe) is deferred to one
 ///   reconciliation pass per block over the outcome columns. With no
-///   probe and no sampling hook the pass is column-wise (dense u64
-///   sums over `data_cycles` plus a gather over the miss indices) —
-///   bit-identical to the element-order replay because every RunStats
-///   field is a commutative u64 sum. Otherwise the records replay in
-///   element order with exactly the `measured`/`P::ACTIVE` gating of
-///   [`step_access`], and `on_measured` fires after each measured
-///   element with the running access count.
+///   probe the pass is column-wise (dense u64 sums over `data_cycles`
+///   plus a gather over the miss indices) — bit-identical to the
+///   element-order replay because every RunStats field is a
+///   commutative u64 sum. Otherwise the records replay in element
+///   order with exactly the `measured`/`P::ACTIVE` gating of
+///   [`step_access`], and the sampler ticks after each measured
+///   element.
 ///
 /// `measured_from` is the block-local index of the first measured
 /// element (`warmup - block_base`, saturating).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block<P: Probe>(
+fn run_block<P: Probe>(
     rig: &mut dyn Rig,
     block: &[Access],
     measured_from: usize,
@@ -238,7 +263,7 @@ pub(crate) fn run_block<P: Probe>(
     stats: &mut RunStats,
     probe: &mut P,
     st: &mut BlockState,
-    mut on_measured: Option<OnMeasured<'_, P>>,
+    sampler: &mut Sampler,
 ) {
     // Pending-region granularity must be at least the largest possible
     // TLB fill, or a fill could create a hit for a VA already scanned as
@@ -333,9 +358,10 @@ pub(crate) fn run_block<P: Probe>(
         st.pending_regions.clear();
     }
 
-    // Deferred accounting. Fast path: no probe, no sampling hook —
-    // column-wise sums, same u64 additions in a different order.
-    if !P::ACTIVE && on_measured.is_none() {
+    // Deferred accounting. Fast path: no probe (so nothing samples
+    // either) — column-wise sums, same u64 additions in a different
+    // order.
+    if !P::ACTIVE {
         if measured_from < block.len() {
             stats.accesses += (block.len() - measured_from) as u64;
             stats.data_cycles += st.outcomes.data_cycles[measured_from..]
@@ -407,120 +433,105 @@ pub(crate) fn run_block<P: Probe>(
                 }
             }
         }
-        if let Some(cb) = on_measured.as_mut() {
-            cb(probe, rig, stats.accesses);
-        }
+        sampler.tick(probe, rig);
     }
 }
 
-/// The batched engine with an observation probe threaded through the
-/// loop (driven via [`crate::runner::Runner::replay`] /
-/// [`replay_sampled`](crate::runner::Runner::replay_sampled)).
+/// The one replay driver: the runner, every shard and the cloud node
+/// feed their accesses through a `Driver`, which owns the choice
+/// between the scalar reference ([`step_access`] per element) and the
+/// batched block path ([`run_block`] per [`BLOCK_SIZE`] chunk), the
+/// chunking, and the periodic fragmentation/RSS sampling.
 ///
 /// Every probe call site is gated on `P::ACTIVE`, a const the compiler
-/// folds, so `run_probed::<_, NoopProbe>` monomorphizes to exactly the
+/// folds, so a `NoopProbe` run monomorphizes to exactly the
 /// uninstrumented loop. With a live probe, per-walk latency/refs and
 /// per-access data latency feed histograms, PTE fetches are attributed
-/// to cache levels by the backend's per-element charge columns, and
-/// every `sample_interval` measured accesses the rig's
-/// fragmentation/RSS snapshot is appended to a time-series.
+/// to cache levels, and every `sample_interval` measured accesses the
+/// rig's fragmentation/RSS snapshot is appended to a time-series.
 ///
-/// Accesses are fed to [`run_block`] in [`BLOCK_SIZE`] chunks, which
-/// hands miss runs to [`Rig::translate_batch`] and defers accounting to
-/// one reconciliation pass per block. It is bit-identical to
-/// [`run_probed_scalar_in`] — the contract `tests/batch_equivalence.rs`
-/// and the backend goldens pin.
-///
-/// The caller builds the hierarchy — how the runner's tiered-DRAM mode
-/// injects a fast/slow split without disturbing the default (flat,
-/// bit-identical) path.
-pub(crate) fn run_probed_in<I, P>(
-    rig: &mut dyn Rig,
-    trace: I,
-    warmup: usize,
-    probe: &mut P,
-    mut hier: MemoryHierarchy,
-) -> RunStats
-where
-    I: IntoIterator,
-    I::Item: Borrow<Access>,
-    P: Probe,
-{
-    let mut tlb = Tlb::default();
-    let mut stats = RunStats::default();
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    let mut on_measured = |p: &mut P, r: &dyn Rig, accesses: u64| {
-        if sample_every > 0 && accesses.is_multiple_of(sample_every) {
-            if let Some((frag, rss)) = r.frag_sample() {
-                p.sample(accesses, frag, rss);
-            }
-        }
-    };
-    let mut st = BlockState::default();
-    let mut buf: Vec<Access> = Vec::with_capacity(BLOCK_SIZE);
-    let mut base = 0usize;
-    for a in trace.into_iter() {
-        buf.push(*a.borrow());
-        if buf.len() == BLOCK_SIZE {
-            let cb: Option<OnMeasured<'_, P>> = if sample_every > 0 {
-                Some(&mut on_measured)
-            } else {
-                None
-            };
-            run_block(
-                rig,
-                &buf,
-                warmup.saturating_sub(base),
-                &mut tlb,
-                &mut hier,
-                &mut stats,
-                probe,
-                &mut st,
-                cb,
-            );
-            base += BLOCK_SIZE;
-            buf.clear();
-        }
-    }
-    if !buf.is_empty() {
-        let cb: Option<OnMeasured<'_, P>> = if sample_every > 0 {
-            Some(&mut on_measured)
-        } else {
-            None
-        };
-        run_block(
-            rig,
-            &buf,
-            warmup.saturating_sub(base),
-            &mut tlb,
-            &mut hier,
-            &mut stats,
-            probe,
-            &mut st,
-            cb,
-        );
-    }
-    stats.exits = rig.exits();
-    stats.faults = rig.faults();
-    if P::ACTIVE {
-        probe.absorb_components(rig.component_counters());
-    }
-    stats
+/// Both engines are bit-identical (DESIGN.md §13) — the contract
+/// `tests/batch_equivalence.rs` and the backend goldens pin.
+pub(crate) struct Driver {
+    engine: Engine,
+    sampler: Sampler,
+    /// Reusable block scratch; holds no cross-block simulation state,
+    /// so one driver may serve several rigs (the cloud node's tenants).
+    st: BlockState,
 }
 
-/// The pre-batching engine: one [`step_access`] per trace element, over
-/// a caller-built hierarchy (the tiered-DRAM injection point, mirroring
-/// [`run_probed_in`]).
-///
-/// Kept as the reference implementation the batched path is measured
-/// and equivalence-tested against; select it with
-/// [`RunnerBuilder::engine`](crate::runner::RunnerBuilder::engine)
-/// (`Engine::Scalar`).
-pub(crate) fn run_probed_scalar_in<I, P>(
+impl Driver {
+    /// A driver for `engine`, sampling at `probe`'s interval with the
+    /// sampling clock starting at `clock` measured accesses.
+    pub(crate) fn new<P: Probe>(engine: Engine, probe: &P, clock: u64) -> Driver {
+        let every = if P::ACTIVE {
+            probe.sample_interval().unwrap_or(0)
+        } else {
+            0
+        };
+        Driver {
+            engine,
+            sampler: Sampler { every, clock },
+            st: BlockState::default(),
+        }
+    }
+
+    /// Replay `accesses`, the first of which sits at absolute trace
+    /// position `pos`; positions below `warmup` run unmeasured. Batched
+    /// blocks are cut on the absolute [`BLOCK_SIZE`] grid, so a trace
+    /// fed in pieces (quanta, epochs) replays in the same blocks as one
+    /// fed whole wherever the pieces allow.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<P: Probe>(
+        &mut self,
+        rig: &mut dyn Rig,
+        accesses: &[Access],
+        pos: usize,
+        warmup: usize,
+        tlb: &mut Tlb,
+        hier: &mut MemoryHierarchy,
+        stats: &mut RunStats,
+        probe: &mut P,
+    ) {
+        match self.engine {
+            Engine::Scalar => {
+                for (j, a) in accesses.iter().enumerate() {
+                    let measured = pos + j >= warmup;
+                    step_access(rig, a, measured, tlb, hier, stats, probe);
+                    if measured {
+                        self.sampler.tick(probe, rig);
+                    }
+                }
+            }
+            Engine::Batched => {
+                let mut done = 0;
+                while done < accesses.len() {
+                    let at = pos + done;
+                    let n = (accesses.len() - done).min(BLOCK_SIZE - at % BLOCK_SIZE);
+                    run_block(
+                        rig,
+                        &accesses[done..done + n],
+                        warmup.saturating_sub(at),
+                        tlb,
+                        hier,
+                        stats,
+                        probe,
+                        &mut self.st,
+                        &mut self.sampler,
+                    );
+                    done += n;
+                }
+            }
+        }
+    }
+}
+
+/// Replay a whole trace on `rig` over a caller-built hierarchy (the
+/// runner's tiered-DRAM injection point) and a cold TLB, then collect
+/// the rig's end-of-run counters. Any access iterator works — traces
+/// stream from disk in [`BLOCK_SIZE`] pieces.
+pub(crate) fn replay_in<I, P>(
+    engine: Engine,
     rig: &mut dyn Rig,
     trace: I,
     warmup: usize,
@@ -534,20 +545,17 @@ where
 {
     let mut tlb = Tlb::default();
     let mut stats = RunStats::default();
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    for (i, a) in trace.into_iter().enumerate() {
-        let a = a.borrow();
-        let measured = i >= warmup;
-        step_access(rig, a, measured, &mut tlb, &mut hier, &mut stats, probe);
-        if P::ACTIVE && measured && sample_every > 0 && stats.accesses % sample_every == 0 {
-            if let Some((frag, rss)) = rig.frag_sample() {
-                probe.sample(stats.accesses, frag, rss);
-            }
-        }
+    let mut driver = Driver::new(engine, probe, 0);
+    let mut buf: Vec<Access> = Vec::with_capacity(BLOCK_SIZE);
+    let mut pos = 0usize;
+    let mut trace = trace.into_iter().peekable();
+    while trace.peek().is_some() {
+        buf.clear();
+        buf.extend(trace.by_ref().take(BLOCK_SIZE).map(|a| *a.borrow()));
+        driver.run(
+            rig, &buf, pos, warmup, &mut tlb, &mut hier, &mut stats, probe,
+        );
+        pos += buf.len();
     }
     stats.exits = rig.exits();
     stats.faults = rig.faults();
@@ -558,14 +566,13 @@ where
 }
 
 /// One access through the TLB → translate → data-access pipeline: the
-/// loop body both [`run_probed_in`] and the cloud-node scheduler
-/// ([`crate::cloudnode`]) execute, factored out so a one-tenant node is
-/// bit-identical to the single-rig engine *by construction*.
+/// scalar reference spec every engine is measured against. The
+/// [`Driver`] runs it per element under [`Engine::Scalar`]; the batched
+/// [`run_block`] must reproduce its state transitions exactly.
 ///
-/// Periodic fragmentation sampling stays with the caller: the single-rig
-/// loop samples on `stats.accesses`, the node on its node-wide access
-/// count, and sampling only reads rig state either way.
-pub(crate) fn step_access<P: Probe>(
+/// Periodic fragmentation sampling stays with the caller (the driver's
+/// sampler), and sampling only reads rig state.
+fn step_access<P: Probe>(
     rig: &mut dyn Rig,
     a: &Access,
     measured: bool,
@@ -632,8 +639,7 @@ pub(crate) fn step_access<P: Probe>(
 
 #[cfg(test)]
 mod tests {
-    use crate::native_rig::NativeRig;
-    use crate::rig::{Design, Rig};
+    use crate::rig::{Design, NativeRig, Rig};
     use crate::runner::Runner;
     use dmt_telemetry::{Counter, Telemetry};
     use dmt_workloads::bench7::Gups;
@@ -719,7 +725,8 @@ mod tests {
         let trace = w.trace(3_000, 5);
         let mut rig = NativeRig::new(Design::Vanilla, false, &w, &trace).unwrap();
         let mut t = Telemetry::with_interval(500);
-        let s = super::run_probed_in(
+        let s = super::replay_in(
+            crate::runner::Engine::Batched,
             &mut rig,
             &trace,
             500,

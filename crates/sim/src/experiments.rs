@@ -7,9 +7,8 @@
 use crate::engine::RunStats;
 use crate::error::SimError;
 use crate::perfmodel::{app_speedup, calib_for, exit_ratio, geomean};
-use crate::rig::{Design, Env, Rig};
+use crate::rig::{Design, Env, Rig, VirtRig};
 use crate::runner::Runner;
-use crate::virt_rig::VirtRig;
 use dmt_workloads::bench7::Redis;
 use dmt_workloads::gen::Workload;
 

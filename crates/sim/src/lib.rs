@@ -2,18 +2,20 @@
 //! the trace-driven engine, the §5 execution-time model, and one runner
 //! per table/figure of the paper.
 //!
-//! * [`rig`] — the [`rig::Rig`] trait, [`rig::Design`] and [`rig::Env`].
+//! * [`rig`] — the [`rig::Rig`] trait, [`rig::Design`], [`rig::Env`],
+//!   and the one generic rig [`rig::EnvRig`] (`NativeRig` / `VirtRig` /
+//!   `NestedRig` are its aliases).
+//! * [`machine`] — the [`machine::Machine`] trait: everything the three
+//!   environments differ in (build, sizing, ground truth, walk caches).
 //! * [`backends`] — one module per design: its auxiliary-structure
-//!   setup, translate path, and reference ground truth.
+//!   setup, [`backends::Translator`] path per environment, and
+//!   reference ground truth.
 //! * [`registry`] — the (design × environment) table the rigs and
 //!   `Design::available_in` query; Table 6's N/A cells live here.
-//! * [`native_rig`] / [`virt_rig`] / [`nested_rig`] — thin environment
-//!   shells that own machine state and delegate to a registry-built
-//!   backend.
-//! * [`engine`] — TLB → translate → data-access loop with statistics;
-//!   batched by default, with the scalar reference loop kept for
-//!   equivalence testing and as the bench-harness baseline. Both are
-//!   driven through [`runner::Runner::replay`].
+//! * [`engine`] — TLB → translate → data-access loop with statistics,
+//!   and the one replay driver the runner, the shards and the cloud
+//!   node share: batched by default, with the scalar reference loop
+//!   selectable as [`runner::Engine::Scalar`].
 //! * [`perfmodel`] — the calibrated execution-time model (see DESIGN.md
 //!   for the substitution rationale).
 //! * [`experiments`] — Figure 4/14/15/16/17 and Table 5/6 runners.
@@ -53,8 +55,7 @@ pub mod cloudnode;
 pub mod engine;
 pub mod error;
 pub mod experiments;
-pub mod native_rig;
-pub mod nested_rig;
+pub mod machine;
 pub mod overheads;
 pub mod perfmodel;
 pub mod registry;
@@ -63,7 +64,6 @@ pub mod rig;
 pub mod runner;
 pub mod shard;
 pub mod sweep;
-pub mod virt_rig;
 
 pub use cloudnode::{ChurnConfig, NodeConfig, NodeStats, Tagging, TenantSpec, TenantStats};
 pub use engine::{ratio, RunStats};

@@ -7,9 +7,9 @@
 //!
 //! * `Design::available_in` asks [`available`] — Table 6's N/A cells
 //!   are `None` entries here, not scattered `match` arms;
-//! * the rigs ask [`native_spec`] / [`virt_spec`] / [`nested_spec`] for
-//!   the machine-construction knobs and the factory that builds the
-//!   per-environment backend enum, and get a typed
+//! * the rig asks [`spec`] for its machine's construction knobs and
+//!   the factory that builds the per-environment backend enum, and gets
+//!   a typed
 //!   [`SimError::Unavailable`](crate::error::SimError::Unavailable) for
 //!   an N/A cell.
 //!
@@ -18,8 +18,9 @@
 //! (and a new `Design` variant). See DESIGN.md §11 for the walkthrough;
 //! the tests below pin enum/registry agreement per environment.
 
-use crate::backends::{self, NativeBackend, NativeMachine, NestedBackend, VirtBackend};
+use crate::backends::{self, NativeBackend, NestedBackend, VirtBackend};
 use crate::error::SimError;
+use crate::machine::{Machine, NativeMachine};
 use crate::rig::{Design, Env, Setup};
 use dmt_mem::Pfn;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
@@ -165,19 +166,11 @@ pub fn available(design: Design, env: Env) -> bool {
     }
 }
 
-/// The native spec for `design`, or a typed N/A error.
-pub fn native_spec(design: Design) -> Result<&'static NativeSpec, SimError> {
-    lookup(design).native.as_ref().ok_or(SimError::Unavailable {
+/// Machine `M`'s spec for `design`, or a typed N/A error.
+pub fn spec<M: Machine>(design: Design) -> Result<&'static M::Spec, SimError> {
+    M::spec(lookup(design)).ok_or(SimError::Unavailable {
         design,
-        env: Env::Native,
-    })
-}
-
-/// The virt spec for `design`, or a typed N/A error.
-pub fn virt_spec(design: Design) -> Result<&'static VirtSpec, SimError> {
-    lookup(design).virt.as_ref().ok_or(SimError::Unavailable {
-        design,
-        env: Env::Virt,
+        env: M::ENV,
     })
 }
 
@@ -195,17 +188,10 @@ pub fn pinned_exit_ratio(design: Design, env: Env) -> Option<f64> {
     }
 }
 
-/// The nested spec for `design`, or a typed N/A error.
-pub fn nested_spec(design: Design) -> Result<&'static NestedSpec, SimError> {
-    lookup(design).nested.as_ref().ok_or(SimError::Unavailable {
-        design,
-        env: Env::Nested,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backends::Backend;
 
     const ALL: [Design; 10] = [
         Design::Vanilla,
@@ -248,48 +234,28 @@ mod tests {
     #[test]
     fn spec_getters_type_the_na_cells() {
         assert!(matches!(
-            native_spec(Design::Shadow),
+            spec::<NativeMachine>(Design::Shadow),
             Err(SimError::Unavailable {
                 design: Design::Shadow,
                 env: Env::Native
             })
         ));
         assert!(matches!(
-            nested_spec(Design::Ecpt),
+            spec::<NestedMachine>(Design::Ecpt),
             Err(SimError::Unavailable {
                 design: Design::Ecpt,
                 env: Env::Nested
             })
         ));
-        assert!(native_spec(Design::Dmt).is_ok());
-        assert!(virt_spec(Design::Shadow).is_ok());
-        assert!(nested_spec(Design::PvDmt).is_ok());
+        assert!(spec::<NativeMachine>(Design::Dmt).is_ok());
+        assert!(spec::<VirtMachine>(Design::Shadow).is_ok());
+        assert!(spec::<NestedMachine>(Design::PvDmt).is_ok());
     }
 
-    #[test]
-    fn backend_enums_match_registry_availability() {
-        // Satellite of the api_redesign PR: registry/enum drift is a
-        // test failure, not a runtime surprise. Every `Design` variant
-        // must have an enum arm exactly where the registry has a spec,
-        // per environment.
-        for d in Design::ALL {
-            assert_eq!(
-                NativeBackend::DESIGNS.contains(&d),
-                available(d, Env::Native),
-                "{d:?} native enum arm vs registry row"
-            );
-            assert_eq!(
-                VirtBackend::DESIGNS.contains(&d),
-                available(d, Env::Virt),
-                "{d:?} virt enum arm vs registry row"
-            );
-            assert_eq!(
-                NestedBackend::DESIGNS.contains(&d),
-                available(d, Env::Nested),
-                "{d:?} nested enum arm vs registry row"
-            );
-        }
-        // And a built backend self-reports the design it was built for.
+    /// Machine `M`'s backend enum has an arm exactly where the registry
+    /// has a spec, and a backend built from each spec self-reports the
+    /// design it was built for.
+    fn check_backend_enum<M: Machine>() {
         let setup = crate::rig::Setup {
             regions: vec![dmt_workloads::gen::Region {
                 base: dmt_mem::VirtAddr(0x10_0000),
@@ -299,13 +265,26 @@ mod tests {
             pages: vec![dmt_mem::VirtAddr(0x10_0000)],
         };
         for d in Design::ALL {
-            if let Ok(spec) = native_spec(d) {
-                let mut m =
-                    NativeMachine::build(spec.dmt_managed, false, &setup).expect("machine");
-                let b = (spec.build)(&mut m, &setup).expect("backend");
-                assert_eq!(b.design(), Some(d), "{d:?} native variant");
+            assert_eq!(
+                M::Backend::DESIGNS.contains(&d),
+                available(d, M::ENV),
+                "{d:?} {:?} enum arm vs registry row",
+                M::ENV
+            );
+            if let Ok(spec) = spec::<M>(d) {
+                let pm = dmt_mem::PhysMemory::new_bytes(M::host_bytes(false, &setup));
+                let (_, b) = M::build(pm, spec, false, &setup).expect("machine + backend");
+                assert_eq!(b.design(), d, "{d:?} {:?} variant", M::ENV);
             }
         }
+    }
+
+    #[test]
+    fn backend_enums_match_registry_availability() {
+        // Registry/enum drift is a test failure, not a runtime surprise.
+        check_backend_enum::<NativeMachine>();
+        check_backend_enum::<VirtMachine>();
+        check_backend_enum::<NestedMachine>();
     }
 
     #[test]
@@ -342,7 +321,7 @@ mod tests {
     #[test]
     fn dmt_managed_designs_are_the_tea_users() {
         for d in ALL {
-            if let Ok(s) = native_spec(d) {
+            if let Ok(s) = spec::<NativeMachine>(d) {
                 assert_eq!(
                     s.dmt_managed,
                     matches!(d, Design::Dmt | Design::PvDmt | Design::Asap),

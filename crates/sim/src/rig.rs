@@ -1,10 +1,17 @@
 //! Common vocabulary for the evaluation: environments, translation
-//! designs, and the [`Rig`] trait every design-under-test implements.
+//! designs, the [`Rig`] trait every design-under-test implements, and
+//! [`EnvRig`], the one rig over any environment's [`Machine`].
 
+use crate::backends::{Backend, Translator};
+use crate::error::SimError;
+use crate::machine::{Machine, NativeMachine};
 use dmt_cache::hierarchy::MemoryHierarchy;
-use dmt_mem::{PageSize, PhysAddr, TransUnit, VirtAddr};
+use dmt_mem::buddy::FrameKind;
+use dmt_mem::{PageSize, PhysAddr, PhysMemory, TransUnit, VirtAddr};
 use dmt_telemetry::ComponentCounters;
-use dmt_workloads::gen::{Access, Region};
+use dmt_virt::machine::VirtMachine;
+use dmt_virt::nested::NestedMachine;
+use dmt_workloads::gen::{Access, Region, Workload};
 
 /// Deployment environment (the paper's three columns of Table 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -637,6 +644,209 @@ impl Rig for Box<dyn Rig> {
 
     fn alloc_state_hash(&self) -> Option<u64> {
         (**self).alloc_state_hash()
+    }
+}
+
+/// A machine of environment `M` running one workload under one design:
+/// the machine state plus the registry-built backend that serves its
+/// translations. Every environment-specific decision is the
+/// [`Machine`]'s, every design-specific one the backend's.
+pub struct EnvRig<M: Machine> {
+    m: M,
+    backend: M::Backend,
+    thp: bool,
+}
+
+/// A bare-metal rig.
+pub type NativeRig = EnvRig<NativeMachine>;
+/// A single-level virtualized rig.
+pub type VirtRig = EnvRig<VirtMachine>;
+/// A nested (L0/L1/L2) rig (Figure 17).
+pub type NestedRig = EnvRig<NestedMachine>;
+
+impl<M: Machine> EnvRig<M> {
+    /// Build the machine: map and populate the workload's touched
+    /// pages, then construct the design's translation structures.
+    ///
+    /// # Errors
+    ///
+    /// Propagates setup failures as typed [`SimError`]s;
+    /// [`SimError::Unavailable`] if the registry has no backend for
+    /// `design` in this environment.
+    pub fn new(
+        design: Design,
+        thp: bool,
+        workload: &dyn Workload,
+        trace: &[Access],
+    ) -> Result<Self, SimError> {
+        Self::with_setup(design, thp, &Setup::of_workload(workload, trace))
+    }
+
+    /// Build the machine from a [`Setup`] — regions plus touched pages —
+    /// with no workload generator in sight (the trace-replay path).
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_setup(design: Design, thp: bool, setup: &Setup) -> Result<Self, SimError> {
+        let pm = PhysMemory::new_bytes(M::host_bytes(thp, setup));
+        Self::with_setup_in(pm, design, thp, setup)
+    }
+
+    /// Build the machine inside an existing physical memory — the
+    /// multi-tenant cloud-node path, where tenants carve their backing
+    /// out of one shared buddy allocator. The rig takes ownership of
+    /// `pm`; the node lends it back and forth with [`Rig::swap_phys`]
+    /// on context switches.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_setup_in(
+        pm: PhysMemory,
+        design: Design,
+        thp: bool,
+        setup: &Setup,
+    ) -> Result<Self, SimError> {
+        let spec = crate::registry::spec::<M>(design)?;
+        let (m, backend) = M::build(pm, spec, thp, setup)?;
+        Ok(EnvRig { m, backend, thp })
+    }
+
+    /// The underlying machine (oracle audits, experiment probes).
+    pub fn machine(&self) -> &M {
+        &self.m
+    }
+
+    /// Mutable access for experiment-specific drives (e.g. Figure 16's
+    /// step traces).
+    pub fn machine_mut(&mut self) -> &mut M {
+        &mut self.m
+    }
+}
+
+impl<M: Machine> Rig for EnvRig<M> {
+    fn design(&self) -> Design {
+        self.backend.design()
+    }
+
+    fn env(&self) -> Env {
+        M::ENV
+    }
+
+    fn thp(&self) -> bool {
+        self.thp
+    }
+
+    fn fill_shift(&self) -> u32 {
+        self.backend.fill_shift(self.thp)
+    }
+
+    fn translate(&mut self, va: VirtAddr, hier: &mut MemoryHierarchy) -> Translation {
+        self.backend.translate(&mut self.m, va, hier)
+    }
+
+    fn translate_batch(
+        &mut self,
+        accesses: &[Access],
+        hier: &mut MemoryHierarchy,
+        out: &mut OutcomeRows<'_>,
+    ) {
+        self.backend
+            .translate_batch(&mut self.m, accesses, hier, out)
+    }
+
+    fn data_pa(&self, va: VirtAddr) -> PhysAddr {
+        self.m.data_pa(va)
+    }
+
+    fn ref_translate(&self, va: VirtAddr) -> Option<RefEntry> {
+        self.backend.ref_translate(&self.m, va)
+    }
+
+    fn exits(&self) -> u64 {
+        self.backend.exits(&self.m)
+    }
+
+    fn faults(&self) -> u64 {
+        self.m.faults()
+    }
+
+    fn coverage(&self) -> f64 {
+        self.backend.coverage()
+    }
+
+    fn component_counters(&self) -> ComponentCounters {
+        let alloc = self.m.pm().buddy().alloc_counters();
+        ComponentCounters {
+            alloc_splits: alloc.splits,
+            alloc_merges: alloc.merges,
+            compactions: alloc.compactions,
+            ..self.m.component_counters()
+        }
+    }
+
+    fn frag_sample(&self) -> Option<(f64, u64)> {
+        let b = self.m.pm().buddy();
+        let rss = b.allocated_of_kind(FrameKind::Data) + b.allocated_of_kind(FrameKind::HugeData);
+        Some((dmt_mem::frag::fragmentation_index(b, 9), rss))
+    }
+
+    fn swap_phys(&mut self, pm: &mut PhysMemory) -> bool {
+        std::mem::swap(self.m.pm_mut(), pm);
+        true
+    }
+
+    fn swap_pwc(&mut self, pwc: &mut dmt_cache::PageWalkCache) -> bool {
+        self.m.swap_pwc(pwc)
+    }
+
+    fn release_memory(&mut self) -> u64 {
+        self.m.release_memory()
+    }
+
+    fn flush_translation_caches(&mut self) {
+        self.m.flush_pwcs();
+        self.backend.flush_caches();
+    }
+
+    fn alloc_state_hash(&self) -> Option<u64> {
+        Some(self.m.pm().buddy().state_hash())
+    }
+}
+
+/// [`EnvRig::with_setup_in`] for some machine type, boxed.
+type BuildIn = fn(PhysMemory, Design, bool, &Setup) -> Result<Box<dyn Rig>, SimError>;
+
+/// An environment's rig constructors as plain functions, so callers
+/// can pick the machine type by [`Env`] value.
+pub(crate) struct EnvRigOps {
+    /// [`Machine::host_bytes`] of the environment's machine.
+    pub host_bytes: fn(bool, &Setup) -> u64,
+    /// Build the environment's rig inside a given physical memory.
+    pub build_in: BuildIn,
+}
+
+impl EnvRigOps {
+    fn of<M: Machine>() -> EnvRigOps {
+        EnvRigOps {
+            host_bytes: M::host_bytes,
+            build_in: |pm, design, thp, setup| {
+                Ok(Box::new(EnvRig::<M>::with_setup_in(
+                    pm, design, thp, setup,
+                )?))
+            },
+        }
+    }
+
+    /// The rig constructors for `env` — the crate's one `match env`
+    /// that picks a machine type.
+    pub(crate) fn of_env(env: Env) -> EnvRigOps {
+        match env {
+            Env::Native => Self::of::<NativeMachine>(),
+            Env::Virt => Self::of::<VirtMachine>(),
+            Env::Nested => Self::of::<NestedMachine>(),
+        }
     }
 }
 

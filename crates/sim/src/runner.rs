@@ -28,14 +28,12 @@
 //! need a trace generates it while other workers replay already-ready
 //! keys; a materialization counter proves each key was generated once.
 
-use crate::engine::{run_probed_in, run_probed_scalar_in, RunStats};
+use crate::engine::{replay_in, RunStats};
 use crate::error::SimError;
 use crate::experiments::{scaled_benchmark, Measurement, RigWrapper, Scale};
-use crate::native_rig::NativeRig;
-use crate::nested_rig::NestedRig;
-use crate::rig::{Design, Env, Rig, Setup};
-use crate::virt_rig::VirtRig;
+use crate::rig::{Design, Env, EnvRigOps, Rig, Setup};
 use dmt_cache::hierarchy::{DramTiers, HierarchyConfig, MemoryHierarchy};
+use dmt_mem::PhysMemory;
 use dmt_telemetry::{NoopProbe, Telemetry};
 use dmt_trace::{TraceMeta, TraceWriter};
 use dmt_workloads::gen::{Access, Workload};
@@ -104,7 +102,7 @@ pub struct Runner {
     pub(crate) telemetry: bool,
     pub(crate) results_dir: PathBuf,
     pub(crate) spill_dir: Option<PathBuf>,
-    pub(crate) scalar: bool,
+    pub(crate) engine: Engine,
     pub(crate) tiered: bool,
     pub(crate) shards: usize,
     pub(crate) epoch_len: usize,
@@ -127,7 +125,8 @@ pub const SPILL_CHUNK_LEN: u64 = 4_096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The scalar reference: one `step_access` per trace element. The
-    /// baseline the bench harness measures the batched path against.
+    /// baseline the bench harness and the equivalence suites measure
+    /// the batched path against.
     Scalar,
     /// The batched fast path: block-probed TLB scan, region-disjoint
     /// miss runs through `Rig::translate_batch`, column-wise
@@ -151,7 +150,7 @@ impl Default for RunnerBuilder {
                 telemetry: false,
                 results_dir: PathBuf::from("results"),
                 spill_dir: None,
-                scalar: false,
+                engine: Engine::Batched,
                 tiered: false,
                 shards: 1,
                 epoch_len: DEFAULT_EPOCH_LEN,
@@ -191,7 +190,7 @@ impl RunnerBuilder {
     /// fast path (the default). Both are bit-identical by contract
     /// (DESIGN.md §13).
     pub fn engine(mut self, engine: Engine) -> Self {
-        self.runner.scalar = engine == Engine::Scalar;
+        self.runner.engine = engine;
         self
     }
 
@@ -251,7 +250,7 @@ impl Runner {
             telemetry: cfg.telemetry,
             results_dir: cfg.results_dir.clone(),
             spill_dir: None,
-            scalar: false,
+            engine: Engine::Batched,
             tiered: false,
             shards: 1,
             epoch_len: DEFAULT_EPOCH_LEN,
@@ -270,17 +269,7 @@ impl Runner {
 
     /// The engine this runner drives.
     pub fn engine(&self) -> Engine {
-        if self.scalar {
-            Engine::Scalar
-        } else {
-            Engine::Batched
-        }
-    }
-
-    /// Whether this runner drives the scalar reference engine instead
-    /// of the batched fast path.
-    pub fn scalar_engine_enabled(&self) -> bool {
-        self.scalar
+        self.engine
     }
 
     /// Whether replays run over tiered DRAM for tier-registered
@@ -326,11 +315,22 @@ impl Runner {
         thp: bool,
         setup: &Setup,
     ) -> Result<Box<dyn Rig>, SimError> {
-        let rig: Box<dyn Rig> = match env {
-            Env::Native => Box::new(NativeRig::with_setup(design, thp, setup)?),
-            Env::Virt => Box::new(VirtRig::with_setup(design, thp, setup)?),
-            Env::Nested => Box::new(NestedRig::with_setup(design, thp, setup)?),
-        };
+        let pm = PhysMemory::new_bytes((EnvRigOps::of_env(env).host_bytes)(thp, setup));
+        self.build_rig_in(pm, env, design, thp, setup)
+    }
+
+    /// [`build_rig`](Self::build_rig) inside an existing physical memory
+    /// — the cloud node's path, where tenants carve their backing out of
+    /// one shared allocator.
+    pub(crate) fn build_rig_in(
+        &self,
+        pm: PhysMemory,
+        env: Env,
+        design: Design,
+        thp: bool,
+        setup: &Setup,
+    ) -> Result<Box<dyn Rig>, SimError> {
+        let rig = (EnvRigOps::of_env(env).build_in)(pm, design, thp, setup)?;
         Ok(match self.wrapper {
             Some(w) => w(rig),
             None => rig,
@@ -368,22 +368,13 @@ impl Runner {
         I::Item: Borrow<Access>,
     {
         let hier = self.hierarchy_for(rig.design());
-        match (self.telemetry, self.scalar) {
-            (true, false) => {
-                let mut t = Telemetry::with_interval(interval);
-                let stats = run_probed_in(rig, trace, warmup, &mut t, hier);
-                (stats, Some(t))
-            }
-            (true, true) => {
-                let mut t = Telemetry::with_interval(interval);
-                let stats = run_probed_scalar_in(rig, trace, warmup, &mut t, hier);
-                (stats, Some(t))
-            }
-            (false, false) => (run_probed_in(rig, trace, warmup, &mut NoopProbe, hier), None),
-            (false, true) => (
-                run_probed_scalar_in(rig, trace, warmup, &mut NoopProbe, hier),
-                None,
-            ),
+        if self.telemetry {
+            let mut t = Telemetry::with_interval(interval);
+            let stats = replay_in(self.engine, rig, trace, warmup, &mut t, hier);
+            (stats, Some(t))
+        } else {
+            let stats = replay_in(self.engine, rig, trace, warmup, &mut NoopProbe, hier);
+            (stats, None)
         }
     }
 

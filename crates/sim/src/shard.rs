@@ -34,10 +34,10 @@
 //! serial recorder. `tests/shard_equivalence.rs` pins all of this for
 //! every environment × design × THP × K.
 
-use crate::engine::{ratio, run_block, step_access, BlockState, RunStats, BLOCK_SIZE};
+use crate::engine::{ratio, Driver, RunStats};
 use crate::error::SimError;
 use crate::rig::{Design, Env, Rig, Setup};
-use crate::runner::Runner;
+use crate::runner::{Engine, Runner};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_cache::tlb::Tlb;
 use dmt_telemetry::{ComponentCounters, NoopProbe, Probe, Telemetry};
@@ -165,70 +165,6 @@ fn check_alignment(epoch_len: usize, src: &ShardSource<'_>) -> Result<(), SimErr
     Ok(())
 }
 
-/// Replay one epoch's slice. `base` is the global ordinal of
-/// `slice[0]`; `offset` maps the segment-local measured count onto the
-/// global one for sampling (`spec.start.saturating_sub(warmup)`).
-#[allow(clippy::too_many_arguments)]
-fn run_epoch<P: Probe>(
-    rig: &mut dyn Rig,
-    slice: &[Access],
-    base: usize,
-    warmup: usize,
-    scalar: bool,
-    tlb: &mut Tlb,
-    hier: &mut MemoryHierarchy,
-    stats: &mut RunStats,
-    probe: &mut P,
-    st: &mut BlockState,
-    sample_every: u64,
-    offset: u64,
-) {
-    if scalar {
-        for (j, a) in slice.iter().enumerate() {
-            let measured = base + j >= warmup;
-            step_access(rig, a, measured, tlb, hier, stats, probe);
-            if P::ACTIVE
-                && measured
-                && sample_every > 0
-                && (stats.accesses + offset).is_multiple_of(sample_every)
-            {
-                if let Some((frag, rss)) = rig.frag_sample() {
-                    probe.sample(stats.accesses + offset, frag, rss);
-                }
-            }
-        }
-    } else {
-        let mut on_measured = |p: &mut P, r: &dyn Rig, accesses: u64| {
-            if (accesses + offset).is_multiple_of(sample_every) {
-                if let Some((frag, rss)) = r.frag_sample() {
-                    p.sample(accesses + offset, frag, rss);
-                }
-            }
-        };
-        let mut b = 0usize;
-        while b < slice.len() {
-            let block = &slice[b..(b + BLOCK_SIZE).min(slice.len())];
-            let cb: Option<crate::engine::OnMeasured<'_, P>> = if sample_every > 0 {
-                Some(&mut on_measured)
-            } else {
-                None
-            };
-            run_block(
-                rig,
-                block,
-                warmup.saturating_sub(base + b),
-                tlb,
-                hier,
-                stats,
-                probe,
-                st,
-                cb,
-            );
-            b += BLOCK_SIZE;
-        }
-    }
-}
-
 /// Replay a segment (one shard, or the whole trace for the serial
 /// reference) under the epoch-barrier schedule: fresh TLB + hierarchy
 /// per epoch, rig translation caches flushed at every interior epoch
@@ -241,43 +177,21 @@ fn replay_segment<P: Probe>(
     spec: ShardSpec,
     warmup: usize,
     epoch_len: usize,
-    scalar: bool,
+    engine: Engine,
     stats: &mut RunStats,
     probe: &mut P,
 ) -> Result<(), SimError> {
-    let sample_every = if P::ACTIVE {
-        probe.sample_interval().unwrap_or(0)
-    } else {
-        0
-    };
-    let offset = spec.start.saturating_sub(warmup) as u64;
-    let mut st = BlockState::default();
+    // The sampling clock starts at the shard's global measured ordinal.
+    let mut driver = Driver::new(engine, probe, spec.start.saturating_sub(warmup) as u64);
     let mut scratch: Vec<Access> = Vec::new();
-    let mut first = true;
     let mut e_start = spec.start;
     while e_start < spec.end {
         let e_end = (e_start + epoch_len).min(spec.end);
-        if !first {
+        if e_start != spec.start {
             rig.flush_translation_caches();
         }
-        first = false;
-        let mut tlb = Tlb::default();
-        let mut hier = MemoryHierarchy::default();
-        match src {
-            ShardSource::Memory(t) => run_epoch(
-                rig,
-                &t[e_start..e_end],
-                e_start,
-                warmup,
-                scalar,
-                &mut tlb,
-                &mut hier,
-                stats,
-                probe,
-                &mut st,
-                sample_every,
-                offset,
-            ),
+        let epoch = match src {
+            ShardSource::Memory(t) => &t[e_start..e_end],
             ShardSource::File(f) => {
                 let cl = f.chunk_len() as usize;
                 debug_assert_eq!(e_start % cl, 0, "epoch start off the chunk grid");
@@ -285,22 +199,14 @@ fn replay_segment<P: Probe>(
                 for c in e_start / cl..e_end.div_ceil(cl) {
                     f.decode_chunk(c, &mut scratch)?;
                 }
-                run_epoch(
-                    rig,
-                    &scratch[..e_end - e_start],
-                    e_start,
-                    warmup,
-                    scalar,
-                    &mut tlb,
-                    &mut hier,
-                    stats,
-                    probe,
-                    &mut st,
-                    sample_every,
-                    offset,
-                );
+                &scratch[..e_end - e_start]
             }
-        }
+        };
+        let mut tlb = Tlb::default();
+        let mut hier = MemoryHierarchy::default();
+        driver.run(
+            rig, epoch, e_start, warmup, &mut tlb, &mut hier, stats, probe,
+        );
         e_start = e_end;
     }
     Ok(())
@@ -338,8 +244,28 @@ fn merge_stats(into: &mut RunStats, s: &RunStats) {
     into.faults += s.faults;
 }
 
-/// Run one shard: fresh rig, boundary flush for interior shards,
-/// baseline subtraction for the setup-accumulated counters.
+/// The setup-accumulated counters (exits, faults, component counters)
+/// a rig holds before its segment replays. Workers for shards `> 0`
+/// subtract them, so K fresh rigs report setup once, not K times.
+#[derive(Default)]
+struct Baseline {
+    exits: u64,
+    faults: u64,
+    components: ComponentCounters,
+}
+
+impl Baseline {
+    fn of(rig: &dyn Rig) -> Baseline {
+        Baseline {
+            exits: rig.exits(),
+            faults: rig.faults(),
+            components: rig.component_counters(),
+        }
+    }
+}
+
+/// Run one shard: fresh rig, boundary flush and baseline subtraction
+/// for interior shards.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     runner: &Runner,
@@ -353,47 +279,16 @@ fn run_shard(
     interval: u64,
 ) -> Result<ShardRun, SimError> {
     let mut rig = runner.build_rig(env, design, thp, setup)?;
-    let interior = spec.start > 0;
-    if interior {
+    let baseline = if spec.start > 0 {
         // The epoch barrier the serial reference performs when it
         // reaches this shard's start.
         rig.flush_translation_caches();
-    }
-    let (exits0, faults0, comp0) = if interior {
-        (rig.exits(), rig.faults(), rig.component_counters())
+        Baseline::of(rig.as_ref())
     } else {
-        (0, 0, ComponentCounters::default())
+        Baseline::default()
     };
-    let mut stats = RunStats::default();
-    let telemetry = if runner.telemetry {
-        let mut t = Telemetry::with_interval(interval);
-        replay_segment(
-            rig.as_mut(),
-            src,
-            spec,
-            warmup,
-            runner.epoch_len,
-            runner.scalar,
-            &mut stats,
-            &mut t,
-        )?;
-        t.absorb_components(sub_components(rig.component_counters(), comp0));
-        Some(t)
-    } else {
-        replay_segment(
-            rig.as_mut(),
-            src,
-            spec,
-            warmup,
-            runner.epoch_len,
-            runner.scalar,
-            &mut stats,
-            &mut NoopProbe,
-        )?;
-        None
-    };
-    stats.exits = rig.exits().saturating_sub(exits0);
-    stats.faults = rig.faults().saturating_sub(faults0);
+    let (stats, telemetry) =
+        runner.replay_span(rig.as_mut(), src, spec, warmup, interval, baseline)?;
     Ok(ShardRun {
         stats,
         telemetry,
@@ -402,11 +297,47 @@ fn run_shard(
 }
 
 impl Runner {
+    /// Replay `spec` of `src` on `rig` under the epoch-barrier schedule,
+    /// with telemetry iff the runner captures it, net of `baseline`.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_span(
+        &self,
+        rig: &mut dyn Rig,
+        src: ShardSource<'_>,
+        spec: ShardSpec,
+        warmup: usize,
+        interval: u64,
+        baseline: Baseline,
+    ) -> Result<(RunStats, Option<Telemetry>), SimError> {
+        let (epoch_len, engine) = (self.epoch_len, self.engine);
+        let mut stats = RunStats::default();
+        let telemetry = if self.telemetry {
+            let mut t = Telemetry::with_interval(interval);
+            replay_segment(
+                rig, src, spec, warmup, epoch_len, engine, &mut stats, &mut t,
+            )?;
+            t.absorb_components(sub_components(
+                rig.component_counters(),
+                baseline.components,
+            ));
+            Some(t)
+        } else {
+            let mut noop = NoopProbe;
+            replay_segment(
+                rig, src, spec, warmup, epoch_len, engine, &mut stats, &mut noop,
+            )?;
+            None
+        };
+        stats.exits = rig.exits().saturating_sub(baseline.exits);
+        stats.faults = rig.faults().saturating_sub(baseline.faults);
+        Ok((stats, telemetry))
+    }
+
     /// The serial epoch-barrier reference: the whole trace on one rig,
-    /// same barrier schedule as the shard workers, scalar or batched
-    /// per the runner's engine flag. [`Runner::replay_sharded`] is
-    /// bit-identical to this for every shard count — the contract
-    /// `tests/shard_equivalence.rs` pins.
+    /// same barrier schedule as the shard workers, on the runner's
+    /// engine. [`Runner::replay_sharded`] is bit-identical to this for
+    /// every shard count — the contract `tests/shard_equivalence.rs`
+    /// pins.
     ///
     /// # Errors
     ///
@@ -424,37 +355,7 @@ impl Runner {
             start: 0,
             end: src.len(),
         };
-        let mut stats = RunStats::default();
-        let telemetry = if self.telemetry {
-            let mut t = Telemetry::with_interval(interval);
-            replay_segment(
-                rig,
-                src,
-                spec,
-                warmup,
-                self.epoch_len,
-                self.scalar,
-                &mut stats,
-                &mut t,
-            )?;
-            t.absorb_components(rig.component_counters());
-            Some(t)
-        } else {
-            replay_segment(
-                rig,
-                src,
-                spec,
-                warmup,
-                self.epoch_len,
-                self.scalar,
-                &mut stats,
-                &mut NoopProbe,
-            )?;
-            None
-        };
-        stats.exits = rig.exits();
-        stats.faults = rig.faults();
-        Ok((stats, telemetry))
+        self.replay_span(rig, src, spec, warmup, interval, Baseline::default())
     }
 
     /// Replay one trace across [`shards`](crate::runner::RunnerBuilder::shards)

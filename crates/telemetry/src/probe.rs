@@ -1,8 +1,8 @@
 //! The zero-cost observation hook.
 //!
-//! `engine::run_probed` is generic over `P: Probe`. The default build
-//! path goes through [`NoopProbe`], whose `ACTIVE = false` lets the
-//! compiler constant-fold away every `if P::ACTIVE { ... }` block —
+//! The sim engine's replay driver is generic over `P: Probe`. The
+//! default build path goes through [`NoopProbe`], whose `ACTIVE = false`
+//! lets the compiler constant-fold away every `if P::ACTIVE { ... }` block —
 //! the instrumented engine monomorphizes to exactly the uninstrumented
 //! one. The live recorder ([`crate::Telemetry`]) sets `ACTIVE = true`.
 //!
@@ -94,8 +94,8 @@ pub trait Probe {
 }
 
 /// The disabled probe: `ACTIVE = false`, every method inherits the
-/// no-op default, and `run_probed::<_, NoopProbe>` monomorphizes to
-/// the uninstrumented engine.
+/// no-op default, and the replay driver over `NoopProbe` monomorphizes
+/// to the uninstrumented engine.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopProbe;
 

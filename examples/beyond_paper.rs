@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example beyond_paper`
 
-use dmt::sim::native_rig::NativeRig;
+use dmt::sim::rig::NativeRig;
 use dmt::sim::{Design, Runner};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;

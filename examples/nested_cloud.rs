@@ -5,10 +5,9 @@
 //! Run with: `cargo run --release --example nested_cloud`
 
 use dmt::sim::Runner;
-use dmt::sim::nested_rig::NestedRig;
+use dmt::sim::rig::{Design, Env, NestedRig};
 use dmt::sim::perfmodel::{app_speedup, calib_for};
 use dmt::sim::report::{speedup, Table};
-use dmt::sim::rig::{Design, Env};
 use dmt::workloads::bench7::Gups;
 use dmt::workloads::gen::Workload;
 

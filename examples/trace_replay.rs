@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use dmt::sim::native_rig::NativeRig;
 use dmt::sim::report::{f2, pct, Table};
-use dmt::sim::rig::{Design, Setup};
+use dmt::sim::rig::{Design, NativeRig, Setup};
 use dmt::sim::Runner;
 use dmt::trace::{capture_to_path, TraceReader};
 use dmt::workloads::bench7::Gups;

@@ -7,8 +7,7 @@
 use dmt::sim::Runner;
 use dmt::sim::perfmodel::{app_speedup, calib_for};
 use dmt::sim::report::{speedup, Table};
-use dmt::sim::rig::{Design, Env};
-use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::rig::{Design, Env, VirtRig};
 use dmt::workloads::bench7::Redis;
 use dmt::workloads::gen::Workload;
 

@@ -10,10 +10,7 @@
 use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::{PageSize, VirtAddr};
 use dmt::oracle::{audit_native, audit_nested, audit_virt, Checked};
-use dmt::sim::native_rig::NativeRig;
-use dmt::sim::nested_rig::NestedRig;
-use dmt::sim::rig::Setup;
-use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::rig::{NativeRig, NestedRig, Setup, VirtRig};
 use dmt::sim::{Design, Env, Rig};
 use dmt::workloads::gen::{Access, Region};
 use proptest::prelude::*;

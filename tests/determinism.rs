@@ -5,10 +5,9 @@
 //! indices stable across reruns.
 
 use dmt::sim::RunStats;
-use dmt::sim::native_rig::NativeRig;
+use dmt::sim::rig::{NativeRig, VirtRig};
 use dmt::sim::sweep::{matrix, SweepConfig};
 use dmt::sim::Runner;
-use dmt::sim::virt_rig::VirtRig;
 use dmt::sim::Design;
 use dmt::telemetry::Telemetry;
 use dmt::workloads::bench7::Gups;
@@ -23,7 +22,7 @@ fn native_cell(design: Design) -> (RunStats, u64) {
     let trace = w.trace(6_000, SEED);
     let mut rig = NativeRig::new(design, false, &w, &trace).unwrap();
     let stats = Runner::builder().build().replay(&mut rig, &trace, 1_000).0;
-    (stats, rig.phys().buddy().state_hash())
+    (stats, rig.machine().pm.buddy().state_hash())
 }
 
 fn virt_cell() -> (RunStats, u64) {
@@ -64,7 +63,7 @@ fn native_cell_probed(design: Design) -> (RunStats, u64, Telemetry) {
         .build()
         .replay_sampled(&mut rig, &trace, 1_000, 1_000);
     let t = t.expect("telemetry-on runner must capture");
-    (stats, rig.phys().buddy().state_hash(), t)
+    (stats, rig.machine().pm.buddy().state_hash(), t)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! builder's knobs must behave, and the disk-spill trace store must
 //! replay exactly like the in-memory one.
 
-use dmt::sim::native_rig::NativeRig;
+use dmt::sim::rig::NativeRig;
 use dmt::sim::sweep::SweepConfig;
 use dmt::sim::{Design, Engine, Env, Runner, RunStats, Scale, SimError};
 use dmt::workloads::bench7::Gups;

@@ -5,10 +5,7 @@
 use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::VirtAddr;
 use dmt::sim::Runner;
-use dmt::sim::native_rig::NativeRig;
-use dmt::sim::nested_rig::NestedRig;
-use dmt::sim::rig::{Design, Env};
-use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::rig::{Design, Env, NativeRig, NestedRig, VirtRig};
 use dmt::virt::machine::{GuestTeaMode, VirtMachine};
 use dmt::virt::nested::NestedMachine;
 use dmt::workloads::bench7::Gups;

@@ -5,9 +5,8 @@
 //! every flat-mode run bit-identical (the backend goldens pin that
 //! side).
 
-use dmt::sim::native_rig::NativeRig;
 use dmt::sim::report::telemetry_json;
-use dmt::sim::virt_rig::VirtRig;
+use dmt::sim::rig::{NativeRig, VirtRig};
 use dmt::sim::{Design, Engine, Rig, Runner, RunStats};
 use dmt::telemetry::Telemetry;
 use dmt::workloads::bench7::Gups;
