@@ -1,9 +1,8 @@
-//! Figure 14 — native page-walk and application speedups of FPT / ECPT /
-//! ASAP / DMT over vanilla Linux, 4 KiB and THP.
+//! Figure 14 — criterion timing of the native translate path of
+//! vanilla / FPT / ECPT / ASAP / DMT (the figure itself comes from
+//! `examples/paper_figures.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt_bench::{bench_scale, print_geomeans};
-use dmt_sim::experiments::fig14;
 use dmt_sim::runner::Runner;
 use dmt_sim::rig::{Design, NativeRig, Rig};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -11,11 +10,6 @@ use dmt_workloads::bench7::Gups;
 use dmt_workloads::gen::Workload;
 
 fn bench(c: &mut Criterion) {
-    let fig = fig14(bench_scale()).unwrap();
-    print_geomeans(
-        &fig,
-        &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt],
-    );
     let w = Gups {
         table_bytes: 64 << 20,
     };

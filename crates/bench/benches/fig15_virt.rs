@@ -1,9 +1,8 @@
-//! Figure 15 — virtualized page-walk and application speedups of FPT /
-//! ECPT / Agile / ASAP / DMT / pvDMT over vanilla KVM, 4 KiB and THP.
+//! Figure 15 — criterion timing of the virtualized translate path of
+//! vanilla / Agile / ASAP / DMT / pvDMT on Redis (the figure itself
+//! comes from `examples/paper_figures.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt_bench::{bench_scale, print_geomeans};
-use dmt_sim::experiments::fig15;
 use dmt_sim::runner::Runner;
 use dmt_sim::rig::{Design, Rig, VirtRig};
 use dmt_cache::hierarchy::MemoryHierarchy;
@@ -11,11 +10,6 @@ use dmt_workloads::bench7::Redis;
 use dmt_workloads::gen::Workload;
 
 fn bench(c: &mut Criterion) {
-    let fig = fig15(bench_scale()).unwrap();
-    print_geomeans(
-        &fig,
-        &[Design::Fpt, Design::Ecpt, Design::Agile, Design::Asap, Design::Dmt, Design::PvDmt],
-    );
     let w = Redis {
         records: 1 << 18,
         ..Redis::default()

@@ -1,30 +1,13 @@
-//! Figure 16 — per-PTE breakdown of the nested walk vs pvDMT's two
-//! fetches (Redis), plus criterion timing of the raw 2D walker against
-//! the pvDMT fetcher.
+//! Figure 16 — criterion timing of the raw 2D walker against the pvDMT
+//! fetcher (the per-step breakdown itself comes from
+//! `examples/paper_figures.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt_bench::bench_scale;
-use dmt_sim::experiments::fig16;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
 
-fn print_fig16() {
-    for thp in [false, true] {
-        let (vanilla, pvdmt) = fig16(thp, bench_scale()).unwrap();
-        println!(
-            "\nFigure 16 — Redis nested-walk breakdown ({})",
-            if thp { "2M pages" } else { "4KB pages" }
-        );
-        for s in vanilla.iter().chain(pvdmt.iter()) {
-            println!("  {:<10} {:>8.2} cyc  {:>5.1}%", s.label, s.avg_cycles, s.share * 100.0);
-        }
-    }
-    println!();
-}
-
 fn bench(c: &mut Criterion) {
-    print_fig16();
     let mut m = VirtMachine::new(512 << 20, 64 << 20, GuestTeaMode::Pv, false).unwrap();
     let base = VirtAddr(0x7f00_0000_0000);
     m.guest_mmap(base, 16 << 20).unwrap();

@@ -1,17 +1,13 @@
-//! Figure 17 — nested-virtualization speedups of pvDMT over the shadow
-//! baseline, plus criterion timing of the L2 translation paths.
+//! Figure 17 — criterion timing of the L2 translation paths under
+//! nested virtualization: the shadow baseline walk and the pvDMT fetch
+//! (the figure itself comes from `examples/paper_figures.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt_bench::{bench_scale, print_geomeans};
-use dmt_sim::experiments::fig17;
-use dmt_sim::rig::Design;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::VirtAddr;
 use dmt_virt::nested::NestedMachine;
 
 fn bench(c: &mut Criterion) {
-    let fig = fig17(bench_scale()).unwrap();
-    print_geomeans(&fig, &[Design::PvDmt]);
     let mut m = NestedMachine::new(1 << 30, 256 << 20, 128 << 20, false).unwrap();
     let base = VirtAddr(0x7f00_0000_0000);
     m.l2_mmap(base, 16 << 20).unwrap();

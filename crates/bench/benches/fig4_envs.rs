@@ -1,39 +1,15 @@
-//! Figure 4 — execution time across native / virtualized (nPT and sPT) /
-//! nested environments, plus criterion timing of the three baseline walk
-//! paths.
+//! Figure 4 — criterion timing of the three baseline walk paths
+//! (native radix, virtualized 2D walk, nested 2D walk over shadow
+//! tables); the figure itself comes from `examples/paper_figures.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmt_bench::bench_scale;
-use dmt_sim::experiments::fig4;
 use dmt_sim::runner::Runner;
 use dmt_sim::rig::{Design, NativeRig, NestedRig, Rig, VirtRig};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_workloads::bench7::Gups;
 use dmt_workloads::gen::Workload;
 
-fn print_fig4() {
-    let rows = fig4(bench_scale()).unwrap();
-    println!("\nFigure 4 — normalized execution time (page-walk fraction)");
-    println!(
-        "{:<12} {:>14} {:>14} {:>14} {:>14}",
-        "workload", "native", "virt nPT", "virt sPT", "nested"
-    );
-    for r in rows {
-        let f = |(t, p): (f64, f64)| format!("{t:.2} ({:.0}%)", p * 100.0);
-        println!(
-            "{:<12} {:>14} {:>14} {:>14} {:>14}",
-            r.workload,
-            f(r.native),
-            f(r.virt_npt),
-            f(r.virt_spt),
-            f(r.nested)
-        );
-    }
-    println!();
-}
-
 fn bench(c: &mut Criterion) {
-    print_fig4();
     let w = Gups {
         table_bytes: 64 << 20,
     };

@@ -1,37 +1,22 @@
-//! Shared plumbing for the figure/table benchmarks.
+//! Shared plumbing for the benchmarks.
 //!
-//! Every bench target regenerates one table or figure of the paper
-//! (printed before the criterion timings) and then times a representative
-//! translation kernel with criterion. `DMT_FULL=1` switches the printed
-//! experiment to the paper-regime scale used for EXPERIMENTS.md (slower).
+//! The criterion targets time the translation kernels behind each
+//! table or figure of the paper; the figures themselves come from one
+//! driver, `cargo run --release --example paper_figures`. The
+//! `perf_harness` and `shard_bench` binaries measure the replay engine;
+//! `DMT_FULL=1` switches them to the paper-regime scale.
 
 pub mod harness;
 pub mod shards;
 
 use dmt_sim::experiments::Scale;
 
-/// The experiment scale for printed tables: `DMT_FULL=1` selects the
-/// paper-regime scale, otherwise the reduced test scale.
+/// The experiment scale: `DMT_FULL=1` selects the paper-regime scale,
+/// otherwise the reduced test scale.
 pub fn bench_scale() -> Scale {
     if std::env::var("DMT_FULL").as_deref() == Ok("1") {
         Scale::default()
     } else {
         Scale::test()
-    }
-}
-
-/// Print a figure's per-design geomeans compactly.
-pub fn print_geomeans(fig: &dmt_sim::experiments::FigureData, designs: &[dmt_sim::rig::Design]) {
-    for (thp, _) in &fig.modes {
-        for d in designs {
-            if let Some((pw, app)) = fig.geomeans(*thp, *d) {
-                println!(
-                    "{} [{}] {:>7}: page-walk {pw:.2}x  app {app:.2}x",
-                    fig.label,
-                    if *thp { "THP" } else { "4KB" },
-                    d.name()
-                );
-            }
-        }
     }
 }

@@ -10,8 +10,9 @@ use crate::rig::{Design, Setup, Translation};
 use dmt_baselines::ecpt::{Ecpt, NestedEcpt};
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{PageSize, Pfn, VirtAddr};
+use dmt_mem::{MemError, PageSize, Pfn, VirtAddr};
 use dmt_virt::machine::{GuestTeaMode, VirtMachine};
+use dmt_virt::{GuestView, VirtError};
 
 pub(crate) const REGISTRATION: Registration = Registration {
     design: Design::Ecpt,
@@ -77,12 +78,21 @@ fn build_ecpts(
 ) -> Result<NestedEcpt, SimError> {
     let mappings = collect_guest_mappings(m, pages)?;
     let guest_pages = mappings.len() as u64;
+    // Guest ways fill the boot-time arena first; once a resize outgrows
+    // it, further ways come from the guest's contiguous allocator.
+    let end = arena.0 + arena_frames;
     let mut bump = arena.0;
-    let mut take = move |frames: u64| {
-        let p = bump;
-        bump += frames;
-        assert!(bump <= arena.0 + arena_frames, "ECPT arena exhausted");
-        dmt_mem::Result::Ok(Pfn(p))
+    let mut take = move |view: &mut GuestView<'_>, frames: u64| {
+        if bump + frames <= end {
+            let p = bump;
+            bump += frames;
+            return Ok(Pfn(p));
+        }
+        view.alloc_contig(frames, FrameKind::PageTable)
+            .map_err(|e| match e {
+                VirtError::Mem(e) => e,
+                _ => MemError::OutOfMemory,
+            })
     };
     // Size per page size: all mappings are one size per mode.
     let n2m = mappings
@@ -94,13 +104,13 @@ fn build_ecpts(
         let mut view = m.vm.guest_view(&mut m.pm);
         let mut g = Ecpt::new_sized(
             &mut view,
-            &mut |_v, f| take(f),
+            &mut take,
             (n4k * 3).max(64),
             (n2m * 3).max(8),
         )
         .map_err(SimError::setup)?;
         for (va, gpa, size) in &mappings {
-            g.map_in(&mut view, &mut |_v, f| take(f), *va, *gpa, *size)
+            g.map_in(&mut view, &mut take, *va, *gpa, *size)
                 .map_err(SimError::setup)?;
         }
         g

@@ -31,12 +31,12 @@
 //!
 //! Quanta run through the same replay driver as the single-rig engine
 //! (`engine::Driver`, blocks cut on the absolute trace grid), so a
-//! one-tenant node is bit-identical to [`Runner::run_one`] by
-//! construction.
+//! one-tenant node is bit-identical, by construction, to
+//! [`Runner::build_rig`] plus [`Runner::replay_sampled`] over the
+//! tenant's trace.
 //!
 //! [`Rig::swap_phys`]: crate::rig::Rig::swap_phys
 //! [`Rig::swap_pwc`]: crate::rig::Rig::swap_pwc
-//! [`Runner::run_one`]: crate::runner::Runner::run_one
 
 mod config;
 mod sched;

@@ -21,10 +21,10 @@ pub(crate) struct TenantSeed {
 }
 
 impl TenantSeed {
-    /// Generate tenant `index`'s trace and setup. The seed folds the
-    /// tenant index into the high bits so tenant 0 replays exactly the
-    /// stream [`Runner::run_one`](crate::runner::Runner::run_one)
-    /// would — the one-tenant equivalence the test suite pins.
+    /// Generate tenant `index`'s trace and setup, seeded
+    /// `0xD317 ^ design ^ index << 32`. The one-tenant equivalence tests
+    /// rebuild tenant 0's trace from that seed and replay it on a
+    /// standalone rig.
     pub(crate) fn materialize(
         spec: TenantSpec,
         index: usize,

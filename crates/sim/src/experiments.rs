@@ -1,14 +1,17 @@
 //! One runner per table/figure of the paper's evaluation (§6).
 //!
-//! Each function builds the rigs, drives the engine, applies the §5
-//! performance model, and returns structured rows; `dmt-bench` and the
-//! examples print them via [`crate::report`].
+//! Figures 4, 14, 15 and 17 are views over one shared-trace sweep
+//! ([`figures`]); Table 5 derives from their data. The remaining
+//! functions build their own rigs. Every runner applies the §5
+//! performance model and returns structured rows; the examples print
+//! them via [`crate::report`].
 
 use crate::engine::RunStats;
 use crate::error::SimError;
 use crate::perfmodel::{app_speedup, calib_for, exit_ratio, geomean};
 use crate::rig::{Design, Env, Rig, VirtRig};
 use crate::runner::Runner;
+use crate::sweep::{SweepConfig, SweepReport, SweepRow};
 use dmt_workloads::bench7::Redis;
 use dmt_workloads::gen::Workload;
 
@@ -61,20 +64,11 @@ impl Scale {
     }
 }
 
-/// Benchmark `i` (paper order) at the given scale and page-size mode,
-/// constructed alone — sweep jobs use this instead of building all
-/// seven workloads just to index one. `None` when `i` is out of range.
+/// Benchmark `i` (paper order) at the given scale and page-size mode.
+/// `None` when `i` is out of range.
 pub fn scaled_benchmark(i: usize, scale: Scale, thp: bool) -> Option<Box<dyn Workload>> {
     let f = if thp { scale.thp_mult } else { scale.mult4k };
     dmt_workloads::bench7::nth_benchmark(i, f)
-}
-
-/// The seven benchmarks at the given scale and page-size mode, in the
-/// paper's order.
-pub fn scaled_benchmarks(scale: Scale, thp: bool) -> Vec<Box<dyn Workload>> {
-    (0..dmt_workloads::bench7::BENCH7_COUNT)
-        .map(|i| scaled_benchmark(i, scale, thp).expect("suite indices are in range"))
-        .collect()
 }
 
 /// One (workload, design) measurement.
@@ -100,34 +94,6 @@ pub struct Measurement {
 /// A function wrapping a boxed rig in another (e.g. the oracle's
 /// `Checked` adapter).
 pub type RigWrapper = fn(Box<dyn Rig>) -> Box<dyn Rig>;
-
-// The process-wide wrapper registry lives with the rest of the ambient
-// configuration in `runner`; re-exported here for source compatibility.
-pub use crate::runner::install_rig_wrapper;
-
-/// Whether `DMT_TELEMETRY=1` opted this process into telemetry capture
-/// (resolved once by [`crate::runner::env_config`], the workspace's one
-/// environment-read site).
-pub fn telemetry_enabled() -> bool {
-    crate::runner::env_config().telemetry
-}
-
-/// Run one (env, design, thp, workload) configuration with the
-/// environment-configured [`Runner`] — the figure runners' shorthand
-/// for `Runner::from_env().run_one(...)`.
-///
-/// # Errors
-///
-/// Propagates rig construction failures.
-pub(crate) fn run_one(
-    env: Env,
-    design: Design,
-    thp: bool,
-    w: &dyn Workload,
-    scale: Scale,
-) -> Result<Measurement, SimError> {
-    Runner::from_env().run_one(env, design, thp, w, scale)
-}
 
 /// One speedup row of Figures 14/15/17.
 #[derive(Debug, Clone)]
@@ -204,79 +170,6 @@ impl FigureData {
     }
 }
 
-fn figure(
-    label: &'static str,
-    env: Env,
-    designs: &[Design],
-    scale: Scale,
-) -> Result<FigureData, SimError> {
-    let mut modes = Vec::new();
-    for thp in [false, true] {
-        let mut rows = Vec::new();
-        for w in scaled_benchmarks(scale, thp) {
-            let base = run_one(env, Design::Vanilla, thp, w.as_ref(), scale)?;
-            for &d in designs {
-                let m = run_one(env, d, thp, w.as_ref(), scale)?;
-                rows.push(speedup_row(&base, &m));
-            }
-        }
-        modes.push((thp, rows));
-    }
-    Ok(FigureData { label, env, modes })
-}
-
-/// Figure 14: native speedups of FPT / ECPT / ASAP / DMT over vanilla
-/// Linux, 4 KiB and THP.
-///
-/// # Errors
-///
-/// Propagates rig failures.
-pub fn fig14(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 14 (native)",
-        Env::Native,
-        &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt],
-        scale,
-    )
-}
-
-/// Figure 15: virtualized speedups of FPT / ECPT / Agile / ASAP / DMT /
-/// pvDMT over vanilla KVM.
-///
-/// # Errors
-///
-/// Propagates rig failures.
-pub fn fig15(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 15 (virtualized)",
-        Env::Virt,
-        &[
-            Design::Fpt,
-            Design::Ecpt,
-            Design::Agile,
-            Design::Asap,
-            Design::Dmt,
-            Design::PvDmt,
-        ],
-        scale,
-    )
-}
-
-/// Figure 17: nested-virtualization speedups of pvDMT over the shadow
-/// baseline.
-///
-/// # Errors
-///
-/// Propagates rig failures.
-pub fn fig17(scale: Scale) -> Result<FigureData, SimError> {
-    figure(
-        "Figure 17 (nested virtualization)",
-        Env::Nested,
-        &[Design::PvDmt],
-        scale,
-    )
-}
-
 /// Figure 4: normalized execution time of the four environments, with
 /// page-walk fractions. Native / virtualized / nested baselines derive
 /// from the calibration (the "measured" side of §5); the shadow-paging
@@ -297,39 +190,130 @@ pub struct Fig4Row {
     pub nested: (f64, f64),
 }
 
-/// Compute Figure 4.
+impl From<&SweepRow> for Measurement {
+    fn from(r: &SweepRow) -> Measurement {
+        Measurement {
+            workload: r.workload.clone(),
+            design: r.design,
+            env: r.env,
+            thp: r.thp,
+            stats: r.stats,
+            coverage: r.coverage,
+            telemetry: r.telemetry.clone(),
+        }
+    }
+}
+
+/// Figures 4, 14, 15 and 17, each a view over the rows of one shared
+/// sweep: every design is compared with vanilla on the same trace.
+#[derive(Debug, Clone)]
+pub struct Figures {
+    /// Figure 4, one row per workload.
+    pub fig4: Vec<Fig4Row>,
+    /// Figure 14 (native).
+    pub fig14: FigureData,
+    /// Figure 15 (virtualized).
+    pub fig15: FigureData,
+    /// Figure 17 (nested virtualization).
+    pub fig17: FigureData,
+    /// The sweep the figures were read from; its counters show each
+    /// (benchmark, THP) trace was materialized once.
+    pub sweep: SweepReport,
+}
+
+/// Run the Table-6 matrix ([`SweepConfig::default`] at `scale`) once and
+/// derive Figures 4, 14, 15 and 17 from its rows.
 ///
 /// # Errors
 ///
-/// Propagates rig failures.
-pub fn fig4(scale: Scale) -> Result<Vec<Fig4Row>, SimError> {
-    let mut rows = Vec::new();
-    for w in scaled_benchmarks(scale, false) {
-        let calib = calib_for(w.name());
-        let base = run_one(Env::Virt, Design::Vanilla, false, w.as_ref(), scale)?;
-        let spt = run_one(Env::Virt, Design::Shadow, false, w.as_ref(), scale)?;
-        let spt_ratio = if base.stats.walk_cycles > 0 {
-            spt.stats.walk_cycles as f64 / base.stats.walk_cycles as f64
-        } else {
-            1.0
-        };
-        let ideal = 1.0 - calib.pw_native;
-        let t_virt = ideal / (1.0 - calib.pw_virt);
-        let t_spt = t_virt
-            * crate::perfmodel::normalized_time(&calib, Env::Virt, spt_ratio, 1.0);
-        let t_nested = ideal / (1.0 - calib.pw_nested - calib.shadow_exit_nested);
-        rows.push(Fig4Row {
-            workload: w.name().to_string(),
-            native: (1.0, calib.pw_native),
-            virt_npt: (t_virt, calib.pw_virt),
-            virt_spt: (
-                t_spt,
-                calib.pw_virt * spt_ratio * t_virt / t_spt,
-            ),
-            nested: (t_nested, calib.pw_nested),
-        });
+/// Propagates sweep failures (rig construction, trace materialization).
+pub fn figures(runner: &Runner, scale: Scale) -> Result<Figures, SimError> {
+    let sweep = runner.sweep(&SweepConfig {
+        scale,
+        ..SweepConfig::default()
+    })?;
+    let rows = &sweep.rows;
+    // The `design` cell replaying the same trace as vanilla cell `base`.
+    let cell = |base: &SweepRow, design: Design| {
+        rows.iter()
+            .find(|r| {
+                r.env == base.env
+                    && r.thp == base.thp
+                    && r.workload == base.workload
+                    && r.design == design
+            })
+            .expect("the Table-6 matrix holds every figure cell")
+    };
+    // The vanilla cells of (env, thp), one per benchmark in paper order.
+    let bases = |env: Env, thp: bool| {
+        rows.iter()
+            .filter(move |r| r.env == env && r.thp == thp && r.design == Design::Vanilla)
+    };
+    let figure = |label, env, designs: &[Design]| {
+        let mut modes = Vec::new();
+        for thp in [false, true] {
+            let mut speedups = Vec::new();
+            for b in bases(env, thp) {
+                let base = Measurement::from(b);
+                for &d in designs {
+                    speedups.push(speedup_row(&base, &cell(b, d).into()));
+                }
+            }
+            modes.push((thp, speedups));
+        }
+        FigureData { label, env, modes }
+    };
+    let fig4 = bases(Env::Virt, false)
+        .map(|b| fig4_row(&b.stats, &cell(b, Design::Shadow).stats, &b.workload))
+        .collect();
+    Ok(Figures {
+        fig4,
+        fig14: figure(
+            "Figure 14 (native)",
+            Env::Native,
+            &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt],
+        ),
+        fig15: figure(
+            "Figure 15 (virtualized)",
+            Env::Virt,
+            &[
+                Design::Fpt,
+                Design::Ecpt,
+                Design::Agile,
+                Design::Asap,
+                Design::Dmt,
+                Design::PvDmt,
+            ],
+        ),
+        fig17: figure(
+            "Figure 17 (nested virtualization)",
+            Env::Nested,
+            &[Design::PvDmt],
+        ),
+        sweep,
+    })
+}
+
+/// One Figure 4 row from the virtualized 4 KiB vanilla (nPT) and
+/// shadow-paging (sPT) cells of a workload.
+fn fig4_row(base: &RunStats, spt: &RunStats, workload: &str) -> Fig4Row {
+    let calib = calib_for(workload);
+    let spt_ratio = if base.walk_cycles > 0 {
+        spt.walk_cycles as f64 / base.walk_cycles as f64
+    } else {
+        1.0
+    };
+    let ideal = 1.0 - calib.pw_native;
+    let t_virt = ideal / (1.0 - calib.pw_virt);
+    let t_spt = t_virt * crate::perfmodel::normalized_time(&calib, Env::Virt, spt_ratio, 1.0);
+    let t_nested = ideal / (1.0 - calib.pw_nested - calib.shadow_exit_nested);
+    Fig4Row {
+        workload: workload.to_string(),
+        native: (1.0, calib.pw_native),
+        virt_npt: (t_virt, calib.pw_virt),
+        virt_spt: (t_spt, calib.pw_virt * spt_ratio * t_virt / t_spt),
+        nested: (t_nested, calib.pw_nested),
     }
-    Ok(rows)
 }
 
 /// Figure 16: per-step breakdown of the 2D walk (vanilla) and the

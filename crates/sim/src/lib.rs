@@ -18,7 +18,8 @@
 //!   selectable as [`runner::Engine::Scalar`].
 //! * [`perfmodel`] — the calibrated execution-time model (see DESIGN.md
 //!   for the substitution rationale).
-//! * [`experiments`] — Figure 4/14/15/16/17 and Table 5/6 runners.
+//! * [`experiments`] — Figure 4/14/15/16/17 and Table 5/6/7 runners;
+//!   Figures 4/14/15/17 are views over one shared-trace sweep.
 //! * [`overheads`] — the §6.3 management/hypercall/memory overheads.
 //! * [`ablation`] — design-choice sweeps (register count, bubble
 //!   threshold, register policy, eager allocation).
@@ -39,9 +40,10 @@
 //! # Example
 //!
 //! ```no_run
-//! use dmt_sim::experiments::{fig15, Scale};
-//! let data = fig15(Scale::test()).unwrap();
-//! for (thp, rows) in &data.modes {
+//! use dmt_sim::experiments::{figures, Scale};
+//! use dmt_sim::Runner;
+//! let figs = figures(&Runner::from_env(), Scale::test()).unwrap();
+//! for (thp, rows) in &figs.fig15.modes {
 //!     for r in rows {
 //!         println!("{} {:?} thp={} pw={:.2}x app={:.2}x",
 //!                  r.workload, r.design, thp, r.pw_speedup, r.app_speedup);
@@ -68,14 +70,11 @@ pub mod sweep;
 pub use cloudnode::{ChurnConfig, NodeConfig, NodeStats, Tagging, TenantSpec, TenantStats};
 pub use engine::{ratio, RunStats};
 pub use error::SimError;
-pub use experiments::{
-    fig14, fig15, fig16, fig17, install_rig_wrapper, table5, table6, table7, telemetry_enabled,
-    Scale, Table7Row,
-};
+pub use experiments::{fig16, figures, table5, table6, table7, Figures, Scale, Table7Row};
 pub use rig::{Design, Env, Outcome, OutcomeBlock, OutcomeRows, RefEntry, Rig, Setup, Translation};
 pub use runner::{
-    env_config, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet, DEFAULT_EPOCH_LEN,
-    SPILL_CHUNK_LEN,
+    env_config, install_rig_wrapper, Engine, EnvConfig, Runner, RunnerBuilder, TraceSet,
+    DEFAULT_EPOCH_LEN, SPILL_CHUNK_LEN,
 };
 pub use shard::{plan_shards, ShardSource, ShardSpec, ShardedOutcome};
 pub use sweep::{sweep, sweep_serial, SweepConfig, SweepReport, SweepRow};

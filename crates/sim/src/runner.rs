@@ -1,9 +1,7 @@
 //! The unified entry point for running simulations: one
-//! builder-constructed [`Runner`] subsumes what used to be four
-//! overlapping free functions (`engine::run`, `engine::run_probed`,
-//! `experiments::run_one`, `run_one_with_telemetry`), and the shared
-//! [`TraceSet`] it sweeps over materializes each (benchmark, THP) trace
-//! exactly once.
+//! builder-constructed [`Runner`] builds rigs, replays traces and
+//! sweeps, and the shared [`TraceSet`] it sweeps over materializes each
+//! (benchmark, THP) trace exactly once.
 //!
 //! Environment coupling lives only here: [`env_config`] is the single
 //! place in the workspace that reads `DMT_ORACLE` / `DMT_TELEMETRY` /
@@ -30,13 +28,13 @@
 
 use crate::engine::{replay_in, RunStats};
 use crate::error::SimError;
-use crate::experiments::{scaled_benchmark, Measurement, RigWrapper, Scale};
+use crate::experiments::{scaled_benchmark, RigWrapper, Scale};
 use crate::rig::{Design, Env, EnvRigOps, Rig, Setup};
 use dmt_cache::hierarchy::{DramTiers, HierarchyConfig, MemoryHierarchy};
 use dmt_mem::PhysMemory;
 use dmt_telemetry::{NoopProbe, Telemetry};
 use dmt_trace::{TraceMeta, TraceWriter};
-use dmt_workloads::gen::{Access, Workload};
+use dmt_workloads::gen::Access;
 use std::borrow::Borrow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -377,40 +375,6 @@ impl Runner {
             (stats, None)
         }
     }
-
-    /// Run one (env, design, thp, workload) configuration end to end:
-    /// generate the trace (per-design seed, matching the historical
-    /// `run_one`), build and wrap the rig, replay with ~32 telemetry
-    /// samples across the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates rig construction failures.
-    pub fn run_one(
-        &self,
-        env: Env,
-        design: Design,
-        thp: bool,
-        w: &dyn Workload,
-        scale: Scale,
-    ) -> Result<Measurement, SimError> {
-        let trace = w.trace(scale.total(), 0xD317 ^ design as u64);
-        let setup = Setup::of_workload(w, &trace);
-        let mut rig = self.build_rig(env, design, thp, &setup)?;
-        let interval = (scale.total() as u64 / 32).max(1);
-        let (stats, telemetry) =
-            self.replay_sampled(rig.as_mut(), &trace, scale.warmup, interval);
-        let coverage = rig.coverage();
-        Ok(Measurement {
-            workload: w.name().to_string(),
-            design,
-            env,
-            thp,
-            stats,
-            coverage,
-            telemetry,
-        })
-    }
 }
 
 /// Key of one unique trace in a sweep: the (benchmark, THP) pair. Every
@@ -535,8 +499,7 @@ impl TraceSet {
             },
         )?;
         // Seed depends on the benchmark only — every (env, design) job
-        // over this key replays the identical stream. (The historical
-        // single-run path seeds per design; see `Runner::run_one`.)
+        // over this key replays the identical stream.
         let trace = w.trace(self.scale.total(), 0xD317 ^ key.bench as u64);
         let setup = Setup::of_workload(w.as_ref(), &trace);
         let store = match &self.spill_dir {

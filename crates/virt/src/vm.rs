@@ -292,6 +292,16 @@ pub struct GuestView<'a> {
 }
 
 impl GuestView<'_> {
+    /// Allocate guest-physically contiguous frames through the view
+    /// (see [`Vm::alloc_guest_contig`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates guest allocator fragmentation failures.
+    pub fn alloc_contig(&mut self, frames: u64, kind: FrameKind) -> Result<Pfn, VirtError> {
+        self.vm.alloc_guest_contig(self.pm, frames, kind)
+    }
+
     fn redirect(&self, addr: PhysAddr) -> PhysAddr {
         self.vm
             .gpa_to_hpa(addr)

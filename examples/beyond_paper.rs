@@ -1,6 +1,6 @@
 //! Beyond the paper: radix vs non-radix translation on one workload.
 //!
-//! Replays the same seeded GUPS trace (bench7 index 2 — the
+//! Replays one seeded GUPS trace (bench7 index 2 — the
 //! TLB-thrashing random-access kernel) under four designs spanning the
 //! translation-unit axis:
 //!
@@ -32,8 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>8}  {:>9} {:>10} {:>11} {:>11}",
         "design", "walks", "walk refs", "walk cycles", "data cycles"
     );
+    // One trace, replayed by every design: differences between the rows
+    // are design effects, not trace-seed effects.
+    let trace = w.trace(10_000, 0xD317);
     for design in [Design::Vanilla, Design::Dmt, Design::Vbi, Design::Seg] {
-        let trace = w.trace(10_000, 0xD317 ^ design as u64);
         let mut rig = NativeRig::new(design, false, &w, &trace)?;
         let (s, _) = runner.replay(&mut rig, &trace, 2_000);
         println!(
@@ -49,7 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The tier split: same trace, same design, but DRAM beyond 32 MiB
     // now costs 350 cycles instead of 200 (DMT's registry row carries
     // the TierSpec; the knob is a no-op for designs without one).
-    let trace = w.trace(10_000, 0xD317 ^ Design::Dmt as u64);
     let flat = {
         let mut rig = NativeRig::new(Design::Dmt, false, &w, &trace)?;
         runner.replay(&mut rig, &trace, 2_000).0

@@ -2,19 +2,20 @@
 //!
 //! Run with: `cargo run --release --example paper_figures [--full]`
 //!
-//! The default uses the reduced test scale (a couple of minutes); with
-//! `--full` it uses the paper-regime scale (multi-GiB footprints, ~30
-//! minutes) — the numbers recorded in EXPERIMENTS.md.
+//! The default uses the reduced test scale (about half a minute on two
+//! cores); with `--full` it uses the paper-regime scale (multi-GiB
+//! footprints, ~16 minutes on two cores) — the numbers recorded in
+//! EXPERIMENTS.md.
 
 use dmt::sim::experiments::{
-    fig14, fig15, fig16, fig17, scaled_benchmark, table5, table6, table7, Fig4Row, FigureData,
-    Scale,
+    fig16, figures, scaled_benchmark, table5, table6, table7, FigureData, Scale,
 };
 use dmt::sim::ablation::{policy_comparison, register_sweep, threshold_sweep};
 use dmt::sim::overheads::{hypercall_overhead, management_overhead, memory_overhead};
 use dmt::sim::perfmodel::geomean;
 use dmt::sim::report::{pct, speedup, table7_json, table7_table, Table};
 use dmt::sim::rig::Design;
+use dmt::sim::Runner;
 use dmt::workloads::vma_profile::{benchmark_layouts, characterize};
 
 fn print_figure(fig: &FigureData, designs: &[Design]) {
@@ -94,13 +95,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{t}");
 
+    // ---- Figures 4, 14, 15, 17: one shared-trace sweep ------------------
+    // Every cell of the Table-6 matrix replays its (benchmark, THP) trace,
+    // so each design is compared with vanilla on the same accesses.
+    let figs = figures(&Runner::from_env(), scale).map_err(anyhow)?;
+    let sweep = &figs.sweep;
+    println!(
+        "sweep: {} cells over {} unique (benchmark, THP) traces, {} materialized, {:.2?} on {} threads\n",
+        sweep.rows.len(),
+        sweep.unique_traces,
+        sweep.trace_materializations,
+        std::time::Duration::from_nanos(sweep.total_wall_nanos),
+        sweep.threads
+    );
+
     // ---- Figure 4 -----------------------------------------------------
-    let rows: Vec<Fig4Row> = dmt::sim::experiments::fig4(scale).map_err(anyhow)?;
+    let rows = &figs.fig4;
     let mut t = Table::new(
         "Figure 4 — normalized execution time (PW fraction) per environment",
         &["workload", "native", "virt nPT", "virt sPT", "nested"],
     );
-    for r in &rows {
+    for r in rows {
         let cell = |(time, f): (f64, f64)| format!("{time:.2} ({})", pct(f));
         t.row(vec![r.workload.clone(), cell(r.native), cell(r.virt_npt), cell(r.virt_spt), cell(r.nested)]);
     }
@@ -115,20 +130,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("[{:?} elapsed]\n", t0.elapsed());
 
     // ---- Figures 14, 15, 17 ------------------------------------------
-    let f14 = fig14(scale).map_err(anyhow)?;
-    print_figure(&f14, &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt]);
-    println!("[{:?} elapsed]\n", t0.elapsed());
-
-    let f15 = fig15(scale).map_err(anyhow)?;
+    print_figure(&figs.fig14, &[Design::Fpt, Design::Ecpt, Design::Asap, Design::Dmt]);
     print_figure(
-        &f15,
+        &figs.fig15,
         &[Design::Fpt, Design::Ecpt, Design::Agile, Design::Asap, Design::Dmt, Design::PvDmt],
     );
-    println!("[{:?} elapsed]\n", t0.elapsed());
-
-    let f17 = fig17(scale).map_err(anyhow)?;
-    print_figure(&f17, &[Design::PvDmt]);
-    println!("[{:?} elapsed]\n", t0.elapsed());
+    print_figure(&figs.fig17, &[Design::PvDmt]);
 
     // ---- Figure 16 ----------------------------------------------------
     for thp in [false, true] {
@@ -149,7 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Table 5 — DMT/pvDMT page-walk speedup over other designs (geomean)",
         &["setting", "FPT", "ECPT", "Agile", "ASAP"],
     );
-    for row in table5(&f14, &f15) {
+    for row in table5(&figs.fig14, &figs.fig15) {
         let get = |d: Design| {
             row.over
                 .iter()

@@ -6,9 +6,9 @@
 
 use dmt::sim::cloudnode::{NodeConfig, Tagging, TenantSpec};
 use dmt::sim::experiments::{scaled_benchmark, Scale};
-use dmt::sim::rig::{Design, Env};
-use dmt::sim::{Engine, Runner};
-use dmt::telemetry::Counter;
+use dmt::sim::rig::{Design, Env, Setup};
+use dmt::sim::{Engine, RunStats, Runner};
+use dmt::telemetry::{Counter, Telemetry};
 
 /// Small enough for the suite, big enough that the TLB/PWC see real
 /// pressure and churn rebuilds replay meaningful trace.
@@ -19,6 +19,24 @@ fn scale() -> Scale {
         trace: 2500,
         warmup: 600,
     }
+}
+
+/// The standalone single-rig replay of a 1-tenant node's only tenant:
+/// bench 0's trace under tenant 0's own seed
+/// (`0xD317 ^ design ^ index << 32`, index 0), built with
+/// `Runner::build_rig` and replayed with the node's ~32-sample
+/// telemetry interval. Returns the stats, coverage and telemetry.
+fn single_rig(runner: &Runner, env: Env, design: Design) -> (RunStats, f64, Option<Telemetry>) {
+    let w = scaled_benchmark(0, scale(), false).expect("bench 0");
+    let index = 0u64;
+    let trace = w.trace(scale().total(), 0xD317 ^ design as u64 ^ (index << 32));
+    let setup = Setup::of_workload(w.as_ref(), &trace);
+    let mut rig = runner
+        .build_rig(env, design, false, &setup)
+        .expect("single rig builds");
+    let interval = (scale().total() as u64 / 32).max(1);
+    let (stats, telemetry) = runner.replay_sampled(rig.as_mut(), &trace, scale().warmup, interval);
+    (stats, rig.coverage(), telemetry)
 }
 
 /// A mixed-environment node exercising every moving part: weights,
@@ -82,20 +100,18 @@ fn observation_hooks_do_not_perturb_the_node() {
 
 #[test]
 fn one_tenant_node_degenerates_to_the_single_rig_engine() {
-    // A 1-tenant node must be *bit-identical* to Runner::run_one for
-    // every environment: same trace seed, same warmup, same shared
-    // components. run_one's cells are pinned against the pre-refactor
-    // golden snapshot, so this transitively pins cloudnode's engine.
+    // A 1-tenant node must be *bit-identical* to a standalone rig
+    // replaying the tenant's own trace, for every environment: same
+    // trace, same warmup, same shared components. The single-rig path is
+    // the one the golden sweep cells pin, so this transitively pins
+    // cloudnode's engine.
     let runner = Runner::builder().build();
     for env in [Env::Native, Env::Virt, Env::Nested] {
         for design in [Design::Vanilla, Design::Dmt, Design::PvDmt] {
             if !design.available_in(env) {
                 continue;
             }
-            let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-            let single = runner
-                .run_one(env, design, false, w.as_ref(), scale())
-                .expect("single rig runs");
+            let (stats, coverage, _) = single_rig(&runner, env, design);
             let cfg = NodeConfig::new(
                 design,
                 false,
@@ -104,11 +120,11 @@ fn one_tenant_node_degenerates_to_the_single_rig_engine() {
             );
             let node = runner.run_node(&cfg).expect("node runs").0;
             assert_eq!(
-                node.node, single.stats,
+                node.node, stats,
                 "1-tenant node != single rig for {env:?}/{design:?}"
             );
-            assert_eq!(node.tenants[0].stats, single.stats);
-            assert_eq!(node.tenants[0].coverage, single.coverage);
+            assert_eq!(node.tenants[0].stats, stats);
+            assert_eq!(node.tenants[0].coverage, coverage);
             assert_eq!(node.context_switches, 0, "one tenant never switches");
             assert_eq!(node.tagged_flushes, 0, "no churn, no tag reclaim");
             assert_eq!(node.cross_tenant_shootdowns, 0);
@@ -122,10 +138,7 @@ fn one_tenant_telemetry_matches_the_single_rig_engine() {
     // PWC/buddy) must sum to exactly what the single-rig replay
     // absorbs — counters included.
     let runner = Runner::builder().telemetry(true).build();
-    let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-    let single = runner
-        .run_one(Env::Native, Design::Dmt, false, w.as_ref(), scale())
-        .expect("single rig runs");
+    let (_, _, single_t) = single_rig(&runner, Env::Native, Design::Dmt);
     let cfg = NodeConfig::new(
         Design::Dmt,
         false,
@@ -134,7 +147,7 @@ fn one_tenant_telemetry_matches_the_single_rig_engine() {
     );
     let (_, tel) = runner.run_node(&cfg).expect("node runs");
     let node_t = tel.expect("telemetry on");
-    let single_t = single.telemetry.expect("telemetry on");
+    let single_t = single_t.expect("telemetry on");
     for c in dmt::telemetry::Counter::ALL {
         assert_eq!(
             node_t.counters.get(c),
@@ -184,10 +197,7 @@ fn one_tenant_node_block_path_matches_the_single_rig_engine() {
     // block: quanta smaller than, equal to, and larger than one block
     // must all degenerate to the same bit-identical replay.
     let runner = Runner::builder().build();
-    let w = scaled_benchmark(0, scale(), false).expect("bench 0");
-    let single = runner
-        .run_one(Env::Native, Design::Dmt, false, w.as_ref(), scale())
-        .expect("single rig runs");
+    let (single, _, _) = single_rig(&runner, Env::Native, Design::Dmt);
     for quantum in [64, 255, 256, 257, 1024] {
         let cfg = NodeConfig::new(
             Design::Dmt,
@@ -198,7 +208,7 @@ fn one_tenant_node_block_path_matches_the_single_rig_engine() {
         .quantum(quantum);
         let node = runner.run_node(&cfg).expect("node runs").0;
         assert_eq!(
-            node.node, single.stats,
+            node.node, single,
             "1-tenant block path != single rig at quantum {quantum}"
         );
     }

@@ -11,7 +11,8 @@ use dmt::cache::hierarchy::MemoryHierarchy;
 use dmt::mem::{PageSize, VirtAddr};
 use dmt::oracle::{audit_native, audit_nested, audit_virt, Checked};
 use dmt::sim::rig::{NativeRig, NestedRig, Setup, VirtRig};
-use dmt::sim::{Design, Env, Rig};
+use dmt::sim::experiments::scaled_benchmark;
+use dmt::sim::{Design, Env, Rig, Runner, Scale, SweepConfig};
 use dmt::workloads::gen::{Access, Region};
 use proptest::prelude::*;
 
@@ -141,7 +142,8 @@ proptest! {
 
 /// The `DMT_ORACLE=1` opt-in path: installing the process-wide hook
 /// wraps every rig the experiment layer builds in a panicking oracle —
-/// a full `run_one` then proves the engine-driven path is conformant.
+/// one-cell sweeps through the environment-configured runner then prove
+/// the engine-driven path is conformant.
 #[test]
 fn oracle_env_hook_wraps_experiment_rigs() {
     std::env::set_var("DMT_ORACLE", "1");
@@ -149,18 +151,44 @@ fn oracle_env_hook_wraps_experiment_rigs() {
     // Second install is a no-op: the wrapper slot is write-once.
     assert!(!dmt::oracle::install_from_env());
 
-    let scale = dmt::sim::Scale::test();
-    let w = dmt::workloads::bench7::Gups {
-        table_bytes: 32 << 20,
-    };
     for (env, design) in [
         (Env::Native, Design::Dmt),
         (Env::Virt, Design::PvDmt),
         (Env::Nested, Design::Vanilla),
     ] {
-        let m = dmt::sim::Runner::from_env()
-            .run_one(env, design, false, &w, scale)
+        let cell = SweepConfig::builder()
+            .envs(vec![env])
+            .designs(vec![design])
+            .thp(vec![false])
+            .benchmarks(vec![2]) // GUPS
+            .scale(Scale::test())
+            .build()
+            .expect("one available cell");
+        let report = Runner::from_env()
+            .sweep(&cell)
             .unwrap_or_else(|e| panic!("{env:?}/{design:?}: {e}"));
-        assert!(m.stats.accesses > 0);
+        assert!(report.rows[0].stats.accesses > 0);
+    }
+}
+
+/// Virtualized ECPT on XSBench at test scale: these trace seeds grow
+/// the guest table past its boot-time arena. The overflow ways must come
+/// from the guest's contiguous allocator (no panic, no error), and the
+/// resulting tables must translate every access the way the oracle's
+/// ground truth does.
+#[test]
+fn ecpt_arena_overflow_builds_and_conforms() {
+    let scale = Scale::test();
+    let w = scaled_benchmark(5, scale, false).expect("XSBench index");
+    let runner = Runner::builder().rig_wrapper(dmt::oracle::wrapper()).build();
+    for seed in [2, 4, 7, 0xD314] {
+        let trace = w.trace(scale.total(), seed);
+        let setup = Setup::of_workload(w.as_ref(), &trace);
+        let mut rig = runner
+            .build_rig(Env::Virt, Design::Ecpt, false, &setup)
+            .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+        let (stats, _) = runner.replay(rig.as_mut(), &trace, scale.warmup);
+        assert_eq!(stats.accesses, (trace.len() - scale.warmup) as u64, "seed {seed:#x}");
+        assert!(stats.walks > 0, "seed {seed:#x}");
     }
 }

@@ -1,24 +1,16 @@
 //! End-to-end smoke of the figure runners at reduced scale, asserting the
 //! qualitative shapes the paper reports. Absolute factors need the full
 //! scale (see EXPERIMENTS.md); these tests pin the *orderings*.
+//!
+//! Figures 4/14/15/17 are views over one shared-trace sweep; the tests
+//! below read one such run, made once for the whole file.
 
-use dmt::sim::experiments::{fig16, fig4, scaled_benchmark, Measurement, Scale};
+use dmt::sim::experiments::{fig16, figures, Figures, Scale};
 use dmt::sim::perfmodel::geomean;
 use dmt::sim::rig::{Design, Env};
-use dmt::sim::{Runner, SimError};
-use dmt::workloads::gen::Workload;
-
-/// One sweep cell through the unified entry point (what the retired
-/// `experiments::run_one` shim used to forward to).
-fn run_one(
-    env: Env,
-    design: Design,
-    thp: bool,
-    w: &dyn Workload,
-    scale: Scale,
-) -> Result<Measurement, SimError> {
-    Runner::from_env().run_one(env, design, thp, w, scale)
-}
+use dmt::sim::{Runner, SweepRow};
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 fn small() -> Scale {
     Scale {
@@ -29,10 +21,50 @@ fn small() -> Scale {
     }
 }
 
+/// The figures pipeline at [`small`] scale, run once per test binary.
+fn figs() -> &'static Figures {
+    static FIGS: OnceLock<Figures> = OnceLock::new();
+    FIGS.get_or_init(|| figures(&Runner::from_env(), small()).expect("figures pipeline runs"))
+}
+
+/// One GUPS cell of the shared sweep.
+fn gups(env: Env, design: Design, thp: bool) -> &'static SweepRow {
+    figs()
+        .sweep
+        .rows
+        .iter()
+        .find(|r| r.workload == "GUPS" && r.env == env && r.design == design && r.thp == thp)
+        .unwrap_or_else(|| panic!("no GUPS cell {env:?}/{design:?}/thp={thp}"))
+}
+
+#[test]
+fn figures_come_from_one_sweep_over_paired_traces() {
+    let figs = figs();
+    let sweep = &figs.sweep;
+    // Each (benchmark, THP) trace is built once and shared by every
+    // design: 7 benchmarks x 2 page-size modes.
+    assert_eq!(sweep.unique_traces, 14);
+    assert_eq!(sweep.trace_materializations, 14);
+    // No cell is replayed twice.
+    let cells: HashSet<_> = sweep
+        .rows
+        .iter()
+        .map(|r| (r.env, r.design, r.thp, r.workload.as_str()))
+        .collect();
+    assert_eq!(cells.len(), sweep.rows.len(), "a (env, design, thp, bench) cell ran twice");
+    // Every figure reads one row per (bench, design) and page-size mode.
+    for (fig, designs) in [(&figs.fig14, 4), (&figs.fig15, 6), (&figs.fig17, 1)] {
+        for (_, rows) in &fig.modes {
+            assert_eq!(rows.len(), 7 * designs, "{}", fig.label);
+        }
+    }
+    assert_eq!(figs.fig4.len(), 7);
+}
+
 #[test]
 fn fig4_environment_ordering() {
-    let rows = fig4(small()).unwrap();
-    for r in &rows {
+    let rows = &figs().fig4;
+    for r in rows {
         assert!(r.native.0 <= r.virt_npt.0, "{}: virt >= native", r.workload);
         assert!(
             r.virt_npt.0 < r.virt_spt.0,
@@ -58,11 +90,9 @@ fn fig4_environment_ordering() {
 #[test]
 fn virtualized_walks_beat_native_designs_shape() {
     // pvDMT must never lose to plain DMT, and both must cover everything.
-    let scale = small();
-    let w = scaled_benchmark(2, scale, false).unwrap(); // GUPS
-    let base = run_one(Env::Virt, Design::Vanilla, false, w.as_ref(), scale).unwrap();
-    let dmt = run_one(Env::Virt, Design::Dmt, false, w.as_ref(), scale).unwrap();
-    let pv = run_one(Env::Virt, Design::PvDmt, false, w.as_ref(), scale).unwrap();
+    let base = gups(Env::Virt, Design::Vanilla, false);
+    let dmt = gups(Env::Virt, Design::Dmt, false);
+    let pv = gups(Env::Virt, Design::PvDmt, false);
     assert!(pv.stats.avg_refs() < dmt.stats.avg_refs());
     assert!(dmt.stats.avg_refs() < base.stats.avg_refs());
     assert!(
@@ -76,10 +106,8 @@ fn virtualized_walks_beat_native_designs_shape() {
 
 #[test]
 fn nested_pvdmt_beats_baseline_end_to_end() {
-    let scale = small();
-    let w = scaled_benchmark(2, scale, false).unwrap(); // GUPS
-    let base = run_one(Env::Nested, Design::Vanilla, false, w.as_ref(), scale).unwrap();
-    let pv = run_one(Env::Nested, Design::PvDmt, false, w.as_ref(), scale).unwrap();
+    let base = gups(Env::Nested, Design::Vanilla, false);
+    let pv = gups(Env::Nested, Design::PvDmt, false);
     // pvDMT: 3 refs; the baseline 2D walk averages more.
     assert!((pv.stats.avg_refs() - 3.0).abs() < 0.01);
     assert!(base.stats.avg_refs() > 3.0);
@@ -105,11 +133,8 @@ fn fig16_breakdown_shape() {
 
 #[test]
 fn thp_reduces_walk_latency_for_vanilla() {
-    let scale = small();
-    let w4 = scaled_benchmark(2, scale, false).unwrap();
-    let wt = scaled_benchmark(2, scale, true).unwrap();
-    let b4 = run_one(Env::Virt, Design::Vanilla, false, w4.as_ref(), scale).unwrap();
-    let bt = run_one(Env::Virt, Design::Vanilla, true, wt.as_ref(), scale).unwrap();
+    let b4 = gups(Env::Virt, Design::Vanilla, false);
+    let bt = gups(Env::Virt, Design::Vanilla, true);
     assert!(
         bt.stats.avg_walk_latency() < b4.stats.avg_walk_latency(),
         "THP {} !< 4K {}",

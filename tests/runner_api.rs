@@ -82,38 +82,40 @@ fn tiered_dram_is_off_by_default_and_flat_runs_ignore_the_knob() {
     assert_eq!(flat, tiered, "no TierSpec row => tiered knob is a no-op");
 }
 
+/// One GUPS 4 KiB cell of the sweep matrix at test scale.
+fn one_cell(env: Env, design: Design) -> SweepConfig {
+    SweepConfig::builder()
+        .envs(vec![env])
+        .designs(vec![design])
+        .thp(vec![false])
+        .benchmarks(vec![2]) // GUPS
+        .scale(Scale::test())
+        .build()
+        .expect("one available cell")
+}
+
 #[test]
-fn run_one_is_seed_deterministic_across_runner_instances() {
-    let w = cell_workload();
-    let scale = Scale::test();
+fn one_cell_sweep_is_deterministic_across_runner_instances() {
     for (env, design) in [(Env::Native, Design::Dmt), (Env::Virt, Design::PvDmt)] {
-        let a = Runner::builder()
-            .build()
-            .run_one(env, design, false, &w, scale)
-            .unwrap();
-        let b = Runner::builder()
-            .build()
-            .run_one(env, design, false, &w, scale)
-            .unwrap();
-        assert_eq!(a.stats, b.stats, "{env:?}/{design:?}");
-        assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-        assert_eq!(a.workload, b.workload);
+        let cell = one_cell(env, design);
+        let a = Runner::builder().build().sweep(&cell).unwrap();
+        let b = Runner::builder().build().sweep(&cell).unwrap();
+        assert_eq!(a.rows.len(), 1);
+        assert_eq!(a.rows[0].outcome(), b.rows[0].outcome(), "{env:?}/{design:?}");
     }
 }
 
 #[test]
 fn telemetry_toggle_does_not_change_stats() {
-    let w = cell_workload();
-    let scale = Scale::test();
-    let off = Runner::builder()
-        .build()
-        .run_one(Env::Native, Design::Dmt, false, &w, scale)
-        .unwrap();
+    let cell = one_cell(Env::Native, Design::Dmt);
+    let off = Runner::builder().build().sweep(&cell).unwrap().rows.remove(0);
     let on = Runner::builder()
         .telemetry(true)
         .build()
-        .run_one(Env::Native, Design::Dmt, false, &w, scale)
-        .unwrap();
+        .sweep(&cell)
+        .unwrap()
+        .rows
+        .remove(0);
     assert_eq!(off.stats, on.stats, "telemetry must be a pure observer");
     assert!(off.telemetry.is_none());
     let t = on.telemetry.expect("telemetry-on runner must capture");
