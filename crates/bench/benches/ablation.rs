@@ -1,16 +1,16 @@
-//! Ablations of DMT's design choices: register count, clustering bubble
-//! threshold, register-selection policy, eager TEA allocation; criterion
-//! times the register-file comparator path (the per-TLB-miss hardware
-//! check).
+//! Ablations of DMT's design choices; criterion times the register-file
+//! comparator path (the per-TLB-miss hardware check). The bubble
+//! threshold and eager-TEA ablations are printed by `cargo run --release
+//! --example paper_figures`, as are the register-count and policy
+//! ablations at the figures' scale; this target prints those two on the
+//! unscaled Memcached default.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_core::regfile::DmtRegisterFile;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::{PageSize, Pfn, VirtAddr};
-use dmt_sim::ablation::{policy_comparison, register_sweep, threshold_sweep};
-use dmt_sim::overheads::memory_overhead;
+use dmt_sim::ablation::{policy_comparison, register_sweep};
 use dmt_workloads::bench7::Memcached;
-use dmt_workloads::vma_profile::benchmark_layouts;
 
 fn print_ablations() {
     let w = Memcached::default();
@@ -18,28 +18,11 @@ fn print_ablations() {
     for p in register_sweep(&w, &[1, 2, 4, 8, 16, 32], 20_000) {
         println!("  {:>2} registers -> {:>6.2}% coverage", p.registers, p.coverage * 100.0);
     }
-    let layout = benchmark_layouts().into_iter().find(|l| l.name == "Memcached").unwrap();
-    println!("Ablation — bubble threshold (Memcached layout):");
-    for p in threshold_sweep(&layout, &[0.0, 0.005, 0.01, 0.02, 0.05, 0.10]) {
-        println!(
-            "  t={:>4.1}% -> {:>4} clusters, {:>8} wasted TEA bytes, {:>3} regs for 99%",
-            p.threshold * 100.0,
-            p.clusters,
-            p.wasted_tea_bytes,
-            p.registers_for_99
-        );
-    }
     let pol = policy_comparison(&w, 20_000);
     println!(
-        "Ablation — policy: largest-first {:.2}% vs hottest-first {:.2}% miss coverage",
+        "Ablation — policy: largest-first {:.2}% vs hottest-first {:.2}% miss coverage\n",
         pol.largest_first * 100.0,
         pol.hottest_first * 100.0
-    );
-    let eager = memory_overhead(512, 5).unwrap();
-    println!(
-        "Ablation — eager TEA on sparse mmap (5% touched): DMT {} KiB vs lazy {} KiB\n",
-        eager.dmt_bytes >> 10,
-        eager.vanilla_bytes >> 10
     );
 }
 

@@ -1,22 +1,19 @@
-//! §6.3 — DMT's runtime overheads: TEA management under 0.99
-//! fragmentation, hypercall latency vs TEA size, and page-table memory;
-//! criterion times the TEA-allocation and hypercall paths directly.
+//! §6.3 — DMT's runtime overheads: criterion times the TEA-allocation
+//! and hypercall paths directly. The §6.3 management, hypercall and
+//! memory numbers are printed by `cargo run --release --example
+//! paper_figures`; this target adds only the hypercall grant counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_core::gtea::GteaTable;
 use dmt_mem::buddy::FrameKind;
 use dmt_mem::{PageSize, PhysMemory, VirtAddr};
 use dmt_os::tea::TeaManager;
-use dmt_sim::overheads::{hypercall_overhead, management_overhead, memory_overhead};
+use dmt_sim::overheads::hypercall_overhead;
 use dmt_virt::hypercall::{kvm_hc_alloc_tea, HypercallStats, TeaRequest};
 use dmt_virt::Vm;
 
-fn print_overheads() {
-    let m = management_overhead(256).unwrap();
-    println!(
-        "\n§6.3 management under FMFI {:.3}: {:?} for {} TEAs ({} mappings, {} defrag moves)",
-        m.frag_index, m.mgmt_time, m.teas_created, m.mappings, m.defrag_moves
-    );
+fn print_hypercall_grants() {
+    println!();
     for (nested, label) in [(false, "virt"), (true, "nested")] {
         for c in hypercall_overhead(&[50, 100, 200], nested).unwrap() {
             println!(
@@ -25,18 +22,11 @@ fn print_overheads() {
             );
         }
     }
-    let mem = memory_overhead(512, 100).unwrap();
-    println!(
-        "§6.3 memory: DMT {} KiB vs vanilla {} KiB ({:+.2}%)",
-        mem.dmt_bytes >> 10,
-        mem.vanilla_bytes >> 10,
-        mem.extra_fraction() * 100.0
-    );
     println!();
 }
 
 fn bench(c: &mut Criterion) {
-    print_overheads();
+    print_hypercall_grants();
     c.bench_function("tea_create_delete_100_frames", |b| {
         let mut pm = PhysMemory::new_bytes(256 << 20);
         let mut mgr = TeaManager::new();

@@ -1,5 +1,7 @@
-//! Table 1 + Figure 5 — VMA characterization, plus criterion timing of
-//! the clustering analysis itself (it runs on every mmap in DMT-Linux).
+//! Table 1 + Figure 5 — criterion timing of the VMA clustering analysis
+//! (it runs on every mmap in DMT-Linux). Table 1 and the Figure 5 CDFs
+//! are printed by `cargo run --release --example vma_study`; this target
+//! adds only the SPEC min–max ranges.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_os::mapping::cluster_spans;
@@ -7,13 +9,8 @@ use dmt_workloads::vma_profile::{
     benchmark_layouts, characterize, spec2006_layouts, spec2017_layouts,
 };
 
-fn print_tables() {
-    println!("\nTable 1 — VMA characteristics (t = 2%)");
-    println!("{:<12} {:>6} {:>9} {:>9}", "workload", "total", "99% cov", "clusters");
-    for l in benchmark_layouts() {
-        let c = characterize(&l, 0.02);
-        println!("{:<12} {:>6} {:>9} {:>9}", l.name, c.total, c.cov99, c.clusters);
-    }
+fn print_spec_ranges() {
+    println!();
     for (name, layouts) in [
         ("SPEC CPU 2006", spec2006_layouts(2006)),
         ("SPEC CPU 2017", spec2017_layouts(2017)),
@@ -35,7 +32,7 @@ fn print_tables() {
 }
 
 fn bench(c: &mut Criterion) {
-    print_tables();
+    print_spec_ranges();
     let memcached = benchmark_layouts()
         .into_iter()
         .find(|l| l.name == "Memcached")

@@ -1,27 +1,16 @@
-//! Table 6 — sequential memory references per design, plus criterion
-//! timings of the single-translation hot path of each design on a warm
-//! virtualized machine.
+//! Table 6 — criterion timings of the single-translation hot path of
+//! each design on a warm virtualized machine. The table of sequential
+//! memory references itself is printed by `cargo run --release --example
+//! paper_figures` and asserted by `tests/table6_refs.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmt_sim::runner::Runner;
 use dmt_sim::rig::{Design, Env, Rig, VirtRig};
-use dmt_sim::experiments::table6;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_workloads::bench7::Gups;
 use dmt_workloads::gen::Workload;
 
-fn print_table6() {
-    println!("\nTable 6 — sequential memory references");
-    println!("{:<10} {:>8} {:>12} {:>12}", "design", "native", "virtualized", "nested");
-    for (d, n, v, nn) in table6() {
-        let f = |x: Option<u64>| x.map(|v| v.to_string()).unwrap_or_else(|| "N/A".into());
-        println!("{:<10} {:>8} {:>12} {:>12}", d.name(), f(n), f(v), f(nn));
-    }
-    println!();
-}
-
 fn bench(c: &mut Criterion) {
-    print_table6();
     let w = Gups {
         table_bytes: 64 << 20,
     };

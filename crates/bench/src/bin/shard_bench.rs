@@ -3,18 +3,30 @@
 //! replays it at 1/2/4/8 shards per cell (bit-identity gated — see
 //! [`dmt_bench::shards`]), prints a per-cell summary, and writes
 //! `BENCH_8.json` (schema `dmt-bench-v1`) into the output directory
-//! (first CLI argument, default the current directory).
+//! (the first non-flag CLI argument, default the current directory).
 //!
-//! `DMT_FULL=1` runs the paper-regime scale; the default is the reduced
-//! test scale CI uses. Shard *scaling* only shows up on multi-core
-//! hosts — the report's `host_threads` field says what this run had.
+//! Run with: `cargo run --release -p dmt-bench --bin shard_bench -- [--full] [DIR]`
+//!
+//! `--full` runs the paper-regime scale (the same flag `paper_figures`
+//! takes); the default is the reduced test scale CI uses. Shard
+//! *scaling* only shows up on multi-core hosts — the report's
+//! `host_threads` field says what this run had.
 
-use dmt_bench::harness::git_commit;
-use dmt_bench::shards::{run_shard_bench, shard_report_json, ShardScale};
+use dmt_bench::shards::{git_commit, run_shard_bench, shard_report_json, ShardScale};
 
 fn main() {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
-    let scale = ShardScale::from_env();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let full = args.iter().any(|a| a == "--full");
+    let out_dir = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .cloned()
+        .unwrap_or_else(|| ".".to_string());
+    let scale = if full {
+        ShardScale::full()
+    } else {
+        ShardScale::test()
+    };
     let repeats = 3;
     let (results, scale) = match run_shard_bench(scale, repeats) {
         Ok(r) => r,

@@ -33,7 +33,7 @@ pub struct ShardScale {
 }
 
 impl ShardScale {
-    /// Paper-regime scale (`DMT_FULL=1`).
+    /// Paper-regime scale (`shard_bench --full`).
     pub fn full() -> ShardScale {
         ShardScale {
             accesses: 2_000_000,
@@ -48,16 +48,6 @@ impl ShardScale {
             accesses: 40_000,
             warmup: 4_000,
             table_bytes: 160 << 20,
-        }
-    }
-
-    /// `DMT_FULL=1` selects [`ShardScale::full`], otherwise
-    /// [`ShardScale::test`] — same convention as [`crate::bench_scale`].
-    pub fn from_env() -> ShardScale {
-        if std::env::var("DMT_FULL").as_deref() == Ok("1") {
-            ShardScale::full()
-        } else {
-            ShardScale::test()
         }
     }
 }
@@ -306,4 +296,15 @@ pub fn shard_report_json(results: &[ShardCellResult], scale: ShardScale, commit:
                     .collect(),
             ),
         )
+}
+
+/// The current git commit, or `"unknown"` outside a repository.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
 }

@@ -123,8 +123,9 @@ pub const SPILL_CHUNK_LEN: u64 = 4_096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The scalar reference: one `step_access` per trace element. The
-    /// baseline the bench harness and the equivalence suites measure
-    /// the batched path against.
+    /// equivalence suites check the batched path against it, and the
+    /// repository benchmark (`perfbench/`) re-checks every `replay-4k`
+    /// cell on it.
     Scalar,
     /// The batched fast path: block-probed TLB scan, region-disjoint
     /// miss runs through `Rig::translate_batch`, column-wise

@@ -105,22 +105,31 @@ fn one_cell_sweep_is_deterministic_across_runner_instances() {
     }
 }
 
+/// Telemetry is a pure observer for every available Native and Virt
+/// design, the beyond-the-paper VBI and Seg backends included.
 #[test]
 fn telemetry_toggle_does_not_change_stats() {
-    let cell = one_cell(Env::Native, Design::Dmt);
-    let off = Runner::builder().build().sweep(&cell).unwrap().rows.remove(0);
-    let on = Runner::builder()
-        .telemetry(true)
-        .build()
-        .sweep(&cell)
-        .unwrap()
-        .rows
-        .remove(0);
-    assert_eq!(off.stats, on.stats, "telemetry must be a pure observer");
-    assert!(off.telemetry.is_none());
-    let t = on.telemetry.expect("telemetry-on runner must capture");
-    assert_eq!(t.walk_latency.count(), on.stats.walks);
-    assert!(!t.series.is_empty(), "~32 periodic samples over the trace");
+    for env in [Env::Native, Env::Virt] {
+        for design in Design::ALL.into_iter().filter(|d| d.available_in(env)) {
+            let cell = one_cell(env, design);
+            let off = Runner::builder().build().sweep(&cell).unwrap().rows.remove(0);
+            let on = Runner::builder()
+                .telemetry(true)
+                .build()
+                .sweep(&cell)
+                .unwrap()
+                .rows
+                .remove(0);
+            assert_eq!(
+                off.stats, on.stats,
+                "{env:?}/{design:?}: telemetry must be a pure observer"
+            );
+            assert!(off.telemetry.is_none());
+            let t = on.telemetry.expect("telemetry-on runner must capture");
+            assert_eq!(t.walk_latency.count(), on.stats.walks, "{env:?}/{design:?}");
+            assert!(!t.series.is_empty(), "{env:?}/{design:?}: ~32 periodic samples");
+        }
+    }
 }
 
 #[test]
