@@ -1,14 +1,18 @@
-//! A fast, deterministic hasher for hot-path memo tables.
+//! A fast, deterministic hasher for the simulator's frame-keyed maps.
 //!
-//! The simulator's batched translation path keeps several small
-//! address-keyed memo maps that are probed once per access; the
-//! SipHash-backed `std` default spends more cycles hashing than the
-//! lookup saves. This is the Fx multiply-rotate construction
-//! (deterministic, no per-process seed — replay results must not
-//! depend on hasher randomization).
+//! Two kinds of map are probed on hot paths: the small address-keyed
+//! memo tables of the batched translation path (once per access), and
+//! the frame-number maps behind simulated memory itself — the
+//! [`PhysMemory`](crate::PhysMemory) word store, read on every PTE
+//! fetch and written on every table build, and the guest backing maps
+//! of the virtualization layer. The SipHash-backed `std` default spends
+//! more cycles hashing than these lookups take. This is the Fx
+//! multiply-rotate construction (deterministic, no per-process seed —
+//! replay results must not depend on hasher randomization).
 //!
-//! Not DoS-resistant by design: keys here are simulated addresses the
-//! workload generator produced, never attacker-controlled input.
+//! Not DoS-resistant by design: keys here are simulated addresses and
+//! frame numbers the simulator produced, never attacker-controlled
+//! input.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

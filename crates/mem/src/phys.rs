@@ -9,8 +9,8 @@
 
 use crate::addr::{Pfn, PhysAddr, ENTRIES_PER_TABLE, PAGE_SHIFT};
 use crate::buddy::{BuddyAllocator, FrameKind};
+use crate::hash::FastMap;
 use crate::Result;
-use std::collections::HashMap;
 
 /// Word-level access plus frame allocation: the interface page tables are
 /// built against.
@@ -96,7 +96,7 @@ impl MemoryOps for PhysMemory {
 pub struct PhysMemory {
     buddy: BuddyAllocator,
     /// pfn -> 512 words of frame content, materialized on first write.
-    words: HashMap<u64, Box<[u64; ENTRIES_PER_TABLE as usize]>>,
+    words: FastMap<u64, Box<[u64; ENTRIES_PER_TABLE as usize]>>,
 }
 
 impl PhysMemory {
@@ -104,7 +104,7 @@ impl PhysMemory {
     pub fn new_frames(frames: u64) -> Self {
         PhysMemory {
             buddy: BuddyAllocator::new(frames),
-            words: HashMap::new(),
+            words: FastMap::default(),
         }
     }
 

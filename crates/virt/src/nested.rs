@@ -14,7 +14,7 @@
 //! The L2 page table's leaf tables *are* the L2 TEA pages (cascade-mapped
 //! into L2 physical space), so both regimes read the same PTE bytes.
 
-use crate::vm::Vm;
+use crate::vm::{BackingMap, Vm};
 use crate::VirtError;
 use dmt_cache::hierarchy::MemoryHierarchy;
 use dmt_core::fetcher::{self, FetchOutcome};
@@ -28,7 +28,6 @@ use dmt_pgtable::nested::{nested_walk, NestedCaches, NestedWalkOutcome};
 use dmt_pgtable::pte::{Pte, PteFlags};
 use dmt_pgtable::shadow::ShadowPageTable;
 use dmt_pgtable::RadixPageTable;
-use std::collections::HashMap;
 
 /// A three-level (L0/L1/L2) machine.
 #[derive(Debug)]
@@ -38,8 +37,9 @@ pub struct NestedMachine {
     /// L1's physical space backed in L0 (provides hpt1 = L1PA→L0PA and
     /// the L0 TEA).
     vm1: Vm,
-    /// L2 physical frame → L1 physical frame (4 KiB granularity).
-    backing2: HashMap<u64, u64>,
+    /// L2 physical frame → L1 physical frame, per L1 page (one entry per
+    /// 2 MiB chunk under THP); cascaded TEA pages per 4 KiB frame.
+    backing2: BackingMap,
     /// L2 physical-frame allocator.
     l2_buddy: dmt_mem::BuddyAllocator,
     l2_frames: u64,
@@ -119,7 +119,7 @@ impl NestedMachine {
         let mut machine = NestedMachine {
             pm,
             vm1,
-            backing2: HashMap::new(),
+            backing2: BackingMap::new(l2_frames, size),
             l2_buddy,
             l2_frames,
             l2pt: RadixPageTable::from_root(root_g, 4),
@@ -150,20 +150,16 @@ impl NestedMachine {
     /// Back the chunk containing L2 frame `gframe`: allocate the L1
     /// chunk, write the L1 TEA PTE, and sync the sPT identity mapping.
     fn ensure_l2_backed(&mut self, gframe: u64) -> Result<(), VirtError> {
-        let size = if self.thp { PageSize::Size2M } else { PageSize::Size4K };
-        let chunk = size.base_pages();
-        let head = gframe / chunk * chunk;
-        if self.backing2.contains_key(&head) {
+        let Some(head) = self.backing2.unbacked_head(gframe) else {
             return Ok(());
-        }
+        };
+        let size = if self.thp { PageSize::Size2M } else { PageSize::Size4K };
         let l1 = if self.thp {
             self.vm1.alloc_guest_huge(&mut self.pm, FrameKind::HugeData)?
         } else {
             self.vm1.alloc_guest_frame(&mut self.pm, FrameKind::Data)?
         };
-        for k in 0..chunk {
-            self.backing2.insert(head + k, l1.0 + k);
-        }
+        self.backing2.insert_chunk(head, l1.0);
         let l1_id = self.l1_mapping.gtea_id().expect("L1 mapping is pv");
         let slot = self
             .l1_gtea
@@ -202,7 +198,7 @@ impl NestedMachine {
 
     /// Translate L2PA → L0PA (software, no cycles).
     pub fn l2pa_to_l0pa(&self, l2pa: PhysAddr) -> Option<PhysAddr> {
-        let l1f = *self.backing2.get(&(l2pa.raw() >> 12))?;
+        let l1f = self.backing2.get(l2pa.raw() >> 12)?;
         self.vm1
             .gpa_to_hpa(PhysAddr((l1f << 12) | l2pa.page_offset()))
     }
@@ -274,7 +270,7 @@ impl NestedMachine {
         self.l2_frames += frames;
         for i in 0..frames {
             self.backing2
-                .insert(l2_base_frame + i, (l1_gpa.raw() >> 12) + i);
+                .insert_page(l2_base_frame + i, (l1_gpa.raw() >> 12) + i);
         }
         // The inserted TEA pages are new L2PAs: the vanilla baseline's
         // sPT must know them (its 2D walker fetches L2PT tables by L2PA).
@@ -335,9 +331,8 @@ impl NestedMachine {
             (l2va.align_down(PageSize::Size4K), f, PageSize::Size4K)
         };
         self.spread = cur;
-        for k in 0..size.base_pages() {
-            self.ensure_l2_backed(frame.0 + k)?;
-        }
+        // The new page is exactly one L2 chunk (2 MiB under THP).
+        self.ensure_l2_backed(frame.0)?;
         let mut l2pt = self.l2pt.clone();
         {
             let mut view = self.l2_view();
@@ -566,6 +561,35 @@ mod tests {
         assert_eq!(pv.size, PageSize::Size2M);
         let base = m.translate_baseline(va, &mut hier).unwrap();
         assert_eq!(base.pa, pv.pa);
+    }
+
+    #[test]
+    fn thp_backing_maps_agree_with_software_walk_and_spt() {
+        let m = machine(true);
+        let spt_l0 = |l2pa: PhysAddr| m.spt.table().translate(&m.pm, VirtAddr(l2pa.raw())).map(|t| t.0);
+        let view = L2ViewRef { m: &m };
+        // Every 4 KiB page of the populated 2 MiB L2 pages.
+        for i in 0..(8u64 << 20) >> 12 {
+            let va = VirtAddr(L2BASE.raw() + (i << 12) + 0x40);
+            let (l2pa, size) = m.l2pt.translate(&view, va).unwrap();
+            assert_eq!(size, PageSize::Size2M);
+            let l0 = m.l2pa_to_l0pa(l2pa).unwrap();
+            assert_eq!(m.translate_software(va), Some(l0), "L2VA {va}");
+            assert_eq!(spt_l0(l2pa), Some(l0), "sPT at L2PA {l2pa}");
+        }
+        // Every cascaded L2 TEA page, above L2 RAM: the gTEA entry holds
+        // the L0 frames the cascade started from.
+        assert_eq!(m.l2_mappings().len(), 2, "4 KiB and 2 MiB TEAs");
+        for map in m.l2_mappings() {
+            let entry = m.l2_gtea.entry(map.gtea_id().unwrap()).unwrap();
+            assert!(map.tea_base().0 >= (32 << 20) >> 12, "above L2 RAM");
+            for f in 0..map.tea_frames() {
+                let l2pa = PhysAddr::from_pfn(Pfn(map.tea_base().0 + f)) + 0x88;
+                let want = PhysAddr::from_pfn(Pfn(entry.base.0 + f)) + 0x88;
+                assert_eq!(m.l2pa_to_l0pa(l2pa), Some(want), "TEA frame {f}");
+                assert_eq!(spt_l0(l2pa), Some(want), "sPT at TEA frame {f}");
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,84 @@
 use crate::VirtError;
 use dmt_core::vtmap::VmaTeaMapping;
 use dmt_mem::buddy::FrameKind;
-use dmt_mem::{MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
+use dmt_mem::{FastMap, MemoryOps, PageSize, Pfn, PhysAddr, PhysMemory, VirtAddr};
 use dmt_pgtable::pte::PteFlags;
 use dmt_pgtable::RadixPageTable;
-use std::collections::HashMap;
+
+/// A frame-number map from one physical space into the next one down,
+/// kept at the granularity the lower level maps it with: one entry per
+/// host-page chunk (head frame → head frame) below `ram_frames`, and one
+/// entry per 4 KiB frame for the pages inserted above it (pvDMT TEA
+/// pages, which the host maps at 4 KiB).
+#[derive(Debug)]
+pub(crate) struct BackingMap {
+    chunks: FastMap<u64, u64>,
+    inserted: FastMap<u64, u64>,
+    ram_frames: u64,
+    chunk: PageSize,
+    chunk_mask: u64,
+}
+
+impl BackingMap {
+    /// An empty map over `ram_frames` frames backed in `chunk`-sized
+    /// pieces.
+    pub(crate) fn new(ram_frames: u64, chunk: PageSize) -> Self {
+        BackingMap {
+            chunks: FastMap::default(),
+            inserted: FastMap::default(),
+            ram_frames,
+            chunk,
+            chunk_mask: chunk.base_pages() - 1,
+        }
+    }
+
+    /// The frame backing `frame`, if any.
+    #[inline]
+    pub(crate) fn get(&self, frame: u64) -> Option<u64> {
+        if frame < self.ram_frames {
+            let off = frame & self.chunk_mask;
+            Some(self.chunks.get(&(frame - off))? + off)
+        } else {
+            self.inserted.get(&frame).copied()
+        }
+    }
+
+    /// The head frame of the chunk holding RAM frame `frame`, or `None`
+    /// if that chunk is already backed.
+    pub(crate) fn unbacked_head(&self, frame: u64) -> Option<u64> {
+        let head = frame & !self.chunk_mask;
+        (!self.chunks.contains_key(&head)).then_some(head)
+    }
+
+    /// Record that the chunk at `head` is backed from `lower_head` on.
+    pub(crate) fn insert_chunk(&mut self, head: u64, lower_head: u64) {
+        self.chunks.insert(head, lower_head);
+    }
+
+    /// Record one 4 KiB page inserted above RAM.
+    pub(crate) fn insert_page(&mut self, frame: u64, lower: u64) {
+        debug_assert!(frame >= self.ram_frames, "inserted pages live above RAM");
+        self.inserted.insert(frame, lower);
+    }
+
+    /// Backed pieces sorted by address: `(address, lower address,
+    /// size)`, chunks at the chunk size and inserted pages at 4 KiB.
+    fn pieces(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
+        let mut v: Vec<_> = self
+            .chunks
+            .iter()
+            .map(|(&f, &l)| (f, l, self.chunk))
+            .chain(
+                self.inserted
+                    .iter()
+                    .map(|(&f, &l)| (f, l, PageSize::Size4K)),
+            )
+            .map(|(f, l, size)| (PhysAddr(f << 12), PhysAddr(l << 12), size))
+            .collect();
+        v.sort_unstable_by_key(|p| p.0);
+        v
+    }
+}
 
 /// One guest: its physical-memory backing, host page table, and host TEA.
 #[derive(Debug)]
@@ -24,8 +98,8 @@ pub struct Vm {
     hpt: RadixPageTable,
     /// The hVMA-to-hTEA mapping covering guest physical memory.
     host_mapping: VmaTeaMapping,
-    /// gframe → hframe (4 KiB granularity), for the software view.
-    backing: HashMap<u64, u64>,
+    /// gframe → hframe, per host page, for the software view.
+    backing: BackingMap,
     /// Guest-frame allocator (guest physical address space).
     guest_buddy: dmt_mem::BuddyAllocator,
     guest_frames: u64,
@@ -82,7 +156,7 @@ impl Vm {
         Ok(Vm {
             hpt,
             host_mapping,
-            backing: HashMap::new(),
+            backing: BackingMap::new(guest_bytes >> 12, host_page_size),
             guest_buddy: dmt_mem::BuddyAllocator::new(guest_bytes >> 12),
             guest_frames: guest_bytes >> 12,
             host_page_size,
@@ -91,13 +165,12 @@ impl Vm {
     }
 
     /// Ensure the host-page-sized chunk containing guest frame `gframe`
-    /// is backed by host memory and mapped in the hPT.
-    fn ensure_backed(&mut self, pm: &mut PhysMemory, gframe: u64) -> Result<(), VirtError> {
-        let chunk = self.host_page_size.base_pages();
-        let head = gframe / chunk * chunk;
-        if self.backing.contains_key(&head) {
-            return Ok(());
-        }
+    /// is backed by host memory and mapped in the hPT; returns the host
+    /// frame backing `gframe`.
+    fn ensure_backed(&mut self, pm: &mut PhysMemory, gframe: u64) -> Result<Pfn, VirtError> {
+        let Some(head) = self.backing.unbacked_head(gframe) else {
+            return Ok(Pfn(self.backing.get(gframe).expect("chunk is backed")));
+        };
         let gpa = VirtAddr(head << 12);
         let hframe = match self.host_page_size {
             PageSize::Size4K => pm.alloc_frame(FrameKind::Data)?,
@@ -110,18 +183,31 @@ impl Vm {
             self.host_page_size,
             PteFlags::WRITABLE | PteFlags::USER,
         )?;
-        for k in 0..chunk {
-            self.backing.insert(head + k, hframe.0 + k);
+        self.backing.insert_chunk(head, hframe.0);
+        Ok(Pfn(hframe.0 + (gframe - head)))
+    }
+
+    /// Back guest frames `[g, g + frames)` chunk by chunk and zero them.
+    fn back_and_zero(&mut self, pm: &mut PhysMemory, g: Pfn, frames: u64) -> Result<(), VirtError> {
+        let end = g.0 + frames;
+        let mut f = g.0;
+        while f < end {
+            let h = self.ensure_backed(pm, f)?;
+            let next = ((f | self.backing.chunk_mask) + 1).min(end);
+            for k in 0..next - f {
+                pm.zero_frame(Pfn(h.0 + k));
+            }
+            f = next;
         }
         Ok(())
     }
 
-    /// Guest frames currently backed (sorted) — what a host-side table
-    /// builder must map.
-    pub fn backed_gframes(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.backing.keys().copied().collect();
-        v.sort_unstable();
-        v
+    /// The backed guest-physical memory as `(gPA, hPA, size)`, sorted by
+    /// gPA — what a host-side table builder must map. Guest RAM comes in
+    /// host pages (2 MiB chunks under a THP host); pages inserted above
+    /// RAM come at 4 KiB, as the hPT maps them.
+    pub fn backed_chunks(&self) -> Vec<(PhysAddr, PhysAddr, PageSize)> {
+        self.backing.pieces()
     }
 
     /// The host page table (for hardware 2D walks).
@@ -147,7 +233,7 @@ impl Vm {
     /// Translate a guest physical address to host physical (software
     /// path, no cycles).
     pub fn gpa_to_hpa(&self, gpa: PhysAddr) -> Option<PhysAddr> {
-        let hframe = *self.backing.get(&(gpa.raw() >> 12))?;
+        let hframe = self.backing.get(gpa.raw() >> 12)?;
         Some(PhysAddr((hframe << 12) | gpa.page_offset()))
     }
 
@@ -160,11 +246,8 @@ impl Vm {
         let mut cur = self.spread;
         let g = self.guest_buddy.alloc_single_spread(kind, &mut cur)?;
         self.spread = cur;
-        self.ensure_backed(pm, g.0)?;
         // Fresh guest frames read as zero.
-        if let Some(h) = self.backing.get(&g.0) {
-            pm.zero_frame(Pfn(*h));
-        }
+        self.back_and_zero(pm, g, 1)?;
         Ok(g)
     }
 
@@ -181,12 +264,7 @@ impl Vm {
         kind: FrameKind,
     ) -> Result<Pfn, VirtError> {
         let g = self.guest_buddy.alloc_contig(frames, kind)?;
-        for i in 0..frames {
-            self.ensure_backed(pm, g.0 + i)?;
-            if let Some(h) = self.backing.get(&(g.0 + i)) {
-                pm.zero_frame(Pfn(*h));
-            }
-        }
+        self.back_and_zero(pm, g, frames)?;
         Ok(g)
     }
 
@@ -203,12 +281,7 @@ impl Vm {
         let mut cur = self.spread;
         let g = self.guest_buddy.alloc_block_spread(9, kind, &mut cur)?;
         self.spread = cur;
-        for i in 0..512 {
-            self.ensure_backed(pm, g.0 + i)?;
-            if let Some(h) = self.backing.get(&(g.0 + i)) {
-                pm.zero_frame(Pfn(*h));
-            }
-        }
+        self.back_and_zero(pm, g, PageSize::Size2M.base_pages())?;
         Ok(g)
     }
 
@@ -237,7 +310,7 @@ impl Vm {
                 PageSize::Size4K,
                 PteFlags::WRITABLE | PteFlags::USER,
             )?;
-            self.backing.insert(base_gframe + i, host_base.0 + i);
+            self.backing.insert_page(base_gframe + i, host_base.0 + i);
         }
         Ok(PhysAddr(base_gframe << 12))
     }
@@ -322,11 +395,8 @@ impl MemoryOps for GuestView<'_> {
         let g = self.vm.guest_buddy.alloc_single_spread(kind, &mut cur)?;
         self.vm.spread = cur;
         self.vm
-            .ensure_backed(self.pm, g.0)
+            .back_and_zero(self.pm, g, 1)
             .map_err(|_| dmt_mem::MemError::OutOfMemory)?;
-        if let Some(h) = self.vm.backing.get(&g.0) {
-            self.pm.zero_frame(Pfn(*h));
-        }
         Ok(g)
     }
     fn free_frame(&mut self, pfn: Pfn) -> dmt_mem::Result<()> {
@@ -355,7 +425,7 @@ mod tests {
         let via_map = vm.gpa_to_hpa(gpa).unwrap();
         let via_pt = vm.hpt().translate(&pm, VirtAddr(gpa.raw())).unwrap().0;
         assert_eq!(via_map, via_pt);
-        assert_eq!(vm.backed_gframes(), vec![g.0]);
+        assert_eq!(vm.backed_chunks(), vec![(gpa, via_map, PageSize::Size4K)]);
     }
 
     #[test]
@@ -420,6 +490,32 @@ mod tests {
         for i in 1..4u64 {
             assert!(vm.gpa_to_hpa(PhysAddr((g.0 + i) << 12)).is_some());
         }
+    }
+
+    #[test]
+    fn thp_backing_with_pages_above_ram_agrees_with_hpt() {
+        let mut pm = PhysMemory::new_bytes(64 << 20);
+        let mut vm = Vm::new(&mut pm, 8 << 20, PageSize::Size2M).unwrap();
+        let g = vm.alloc_guest_huge(&mut pm, FrameKind::HugeData).unwrap();
+        let host = pm.alloc_contig(3, FrameKind::Tea).unwrap();
+        let above = vm.insert_host_pages(&mut pm, host, 3).unwrap();
+        assert_eq!(above, PhysAddr(8 << 20), "appended above guest RAM");
+        let frames = (g.0..g.0 + 512).chain(above.pfn().0..above.pfn().0 + 3);
+        for f in frames {
+            let gpa = PhysAddr((f << 12) + 0x18);
+            let via_pt = vm.hpt().translate(&pm, VirtAddr(gpa.raw())).unwrap().0;
+            assert_eq!(vm.gpa_to_hpa(gpa), Some(via_pt), "gframe {f:#x}");
+        }
+        // One 2 MiB piece for the chunk, then the inserted run at 4 KiB.
+        let head_hpa = vm.gpa_to_hpa(PhysAddr(g.0 << 12)).unwrap();
+        let mut want = vec![(PhysAddr(g.0 << 12), head_hpa, PageSize::Size2M)];
+        want.extend((0..3).map(|i| {
+            (above + (i << 12), PhysAddr((host.0 + i) << 12), PageSize::Size4K)
+        }));
+        assert_eq!(vm.backed_chunks(), want);
+        // Guest RAM outside the chunk stays unbacked.
+        let other = if g.0 == 0 { 512 } else { 0 };
+        assert!(vm.gpa_to_hpa(PhysAddr(other << 12)).is_none());
     }
 
     #[test]
